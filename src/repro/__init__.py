@@ -18,9 +18,8 @@ Quick start::
     result = builder.simulator.measure(mix.models, response.mapping)
     print(result.average_throughput, service.stats().cache_hit_rate)
 
-The original eager entry point is unchanged: ``build_system(epochs=20)``
-returns the same fully-assembled ``OmniBoostSystem`` (it is now a thin
-shim over :class:`~repro.builder.SystemBuilder`).
+``SystemBuilder(...).build()`` assembles every stage eagerly and
+returns the fully-assembled ``OmniBoostSystem``.
 """
 
 from . import (
@@ -40,7 +39,7 @@ from . import (
     slo,
     workloads,
 )
-from .builder import SystemBuilder
+from .builder import OmniBoostSystem, SystemBuilder
 from .core import (
     MCTSConfig,
     OmniBoostScheduler,
@@ -82,7 +81,6 @@ from .frontdoor import (
 from .hw import Platform, cloud_tier, hikey970
 from .models import MODEL_NAMES, build_model
 from .online import OnlineConfig, OnlineDecision, OnlineScheduler
-from .pipeline import OmniBoostSystem, build_system
 from .resilience import FaultPlan, FaultSpec, ResiliencePolicy
 from .service import SchedulingService, ServiceStats
 from .slo import AdmissionController, AdmissionDecision, SLOPolicy
@@ -103,7 +101,7 @@ from .workloads import (
     generate_trace,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionController",
@@ -161,7 +159,6 @@ __all__ = [
     "available_schedulers",
     "baselines",
     "build_model",
-    "build_system",
     "canonical_signature",
     "churn_scenario",
     "churn_scenario_names",

@@ -1,8 +1,7 @@
 """Lazy, composable system assembly: the :class:`SystemBuilder`.
 
-``build_system()`` (the original entry point, now a thin shim in
-:mod:`repro.pipeline`) profiles the zoo and trains the estimator the
-moment it is called — minutes of work even when the caller only wanted
+Assembling the system eagerly profiles the zoo and trains the
+estimator up front — minutes of work even when the caller only wanted
 the GPU-only baseline.  The builder splits assembly into explicit,
 individually *lazy* stages::
 
@@ -24,10 +23,10 @@ touched; every artifact is computed once and cached, so interleaving
 materialized — reconfiguring a built stage raises instead of silently
 returning stale artifacts.
 
-Seeds mirror ``build_system()`` exactly (profiling ``seed``, estimator
-init ``seed+1``, workloads ``seed+2``, measurement ``seed+3``,
-training ``seed+4``, MCTS ``seed+5``, MOSAIC fit ``seed+6``, GA
-``seed+7``), so the shim and the builder produce identical systems.
+Every stage draws from its own seed lane (profiling ``seed``,
+estimator init ``seed+1``, workloads ``seed+2``, measurement
+``seed+3``, training ``seed+4``, MCTS ``seed+5``, MOSAIC fit
+``seed+6``, GA ``seed+7``).
 
 Schedulers come from the name-based registry
 (:mod:`repro.core.registry`): by default a built system carries every
@@ -120,7 +119,7 @@ class OmniBoostSystem:
 
 
 class SystemBuilder:
-    """Composable, lazily-evaluated replacement for ``build_system()``.
+    """Composable, lazily-evaluated assembly of an :class:`OmniBoostSystem`.
 
     See the module docstring for the stage model.  All ``with_*``
     methods return ``self`` for chaining.
@@ -419,8 +418,8 @@ class SystemBuilder:
     def build(self) -> OmniBoostSystem:
         """Force every stage and return the assembled system.
 
-        Equivalent to the original ``build_system()`` call with this
-        builder's configuration — same artifacts, same seeds.
+        The artifacts are the cached stage outputs, so a system built
+        after lazy use shares them.
         """
         scheduler_map = {
             name: self.build_scheduler(name) for name in self.scheduler_names()

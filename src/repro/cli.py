@@ -373,7 +373,7 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
     if not len(trace):
         raise SystemExit("trace has no events")
     slo = _slo_policy(args)
-    journal = _journal_args(args, slo)
+    journal = _journal_args(args)
     builder = _make_builder(args)
     service = SchedulingService(builder, resilience=_resilience_policy(args))
     online = OnlineConfig(
@@ -381,17 +381,9 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
         warm_patience=args.warm_patience,
         min_overlap=args.min_overlap,
     )
-    if args.resume:
-        try:
-            report = service.resume_trace(
-                trace, journal, online=online, slo=slo
-            )
-        except ValueError as error:
-            raise SystemExit(f"--resume: {error}") from None
-    else:
-        report = service.run_trace(
-            trace, online=online, slo=slo, checkpoint=journal
-        )
+    report = _replay(
+        service, trace, journal, args.resume, online=online, slo=slo
+    )
     print(report.event_table())
     print(f"\n{report.summary()}")
     stats = service.stats()
@@ -517,22 +509,37 @@ def _resilience_policy(args: argparse.Namespace):
     return ResiliencePolicy(faults=plan)
 
 
-def _journal_args(args: argparse.Namespace, slo) -> Optional[str]:
+def _journal_args(args: argparse.Namespace) -> Optional[str]:
     """Validate the ``--journal``/``--resume`` combination.
 
-    Returns the journal path (or ``None``) for ``run_trace``; usage
-    conflicts — resuming without a journal, journaling under an
-    *enforcing* SLO policy — exit with a one-line error instead of
-    surfacing as tracebacks from the service layer.
+    Returns the journal path (or ``None``) for ``run_trace``; resuming
+    without a journal exits with a one-line error instead of surfacing
+    as a traceback from the service layer.
     """
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal PATH")
-    if args.journal and slo is not None and slo.enforced:
-        raise SystemExit(
-            "--journal does not cover the SLO enforcement queue; "
-            "add --slo-observe or drop --slo"
-        )
     return args.journal or None
+
+
+def _replay(service, trace, journal: Optional[str], resume: bool, **kwargs):
+    """Run or resume a trace replay; usage faults exit with one line.
+
+    A resume that does not match its journal, and a trace whose
+    arrivals no board has room for, are the caller's to fix, not
+    tracebacks.
+    """
+    from .fleet import PlacementError
+
+    try:
+        if resume:
+            return service.resume_trace(trace, journal, **kwargs)
+        return service.run_trace(trace, checkpoint=journal, **kwargs)
+    except PlacementError as error:
+        raise SystemExit(f"trace exceeds capacity: {error}") from None
+    except ValueError as error:
+        if not resume:
+            raise
+        raise SystemExit(f"--resume: {error}") from None
 
 
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
@@ -545,7 +552,7 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     (scheduler_name,) = _validate_scheduler_names([args.scheduler])
     chaos = _chaos_plan(args)
     slo = _slo_policy(args)
-    journal = _journal_args(args, slo)
+    journal = _journal_args(args)
     if (args.journal or args.resume) and not args.trace:
         raise SystemExit("--journal/--resume only apply to --trace replays")
     if args.journal and args.elastic:
@@ -602,21 +609,10 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         if args.events is not None:
             trace = trace.truncated(args.events)
         online = OnlineConfig(warm_patience=args.warm_patience)
-        if args.resume:
-            try:
-                report = service.resume_trace(
-                    trace, journal, online=online, chaos=chaos
-                )
-            except ValueError as error:
-                raise SystemExit(f"--resume: {error}") from None
-        else:
-            report = service.run_trace(
-                trace,
-                online=online,
-                chaos=chaos,
-                elastic=elastic,
-                checkpoint=journal,
-            )
+        kwargs = {"online": online, "chaos": chaos}
+        if not args.resume:
+            kwargs["elastic"] = elastic
+        report = _replay(service, trace, journal, args.resume, **kwargs)
         print(report.event_table())
         print(f"\n{report.summary()}")
         for board in report.boards:

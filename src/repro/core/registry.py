@@ -4,8 +4,8 @@ Schedulers register a *factory* under a short name; the
 :class:`~repro.builder.SystemBuilder` materializes every registered
 (or explicitly selected) scheduler when a system is assembled, so a
 scheduler registered here shows up in ``repro schedule`` comparisons
-and :attr:`~repro.pipeline.OmniBoostSystem.schedulers` automatically —
-no pipeline edits required.
+and :attr:`~repro.builder.OmniBoostSystem.schedulers` automatically —
+no assembly edits required.
 
 A factory is a one-argument callable ``factory(builder) -> Scheduler``
 receiving the :class:`~repro.builder.SystemBuilder` whose lazy

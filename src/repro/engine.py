@@ -5,8 +5,8 @@ original ``SchedulingService``: the decision cache (canonical mix
 signature, permuted-duplicate row re-alignment), the pooled concurrent
 MCTS drive (every in-flight search's leaf evaluations priced in shared
 :meth:`~repro.estimator.model.ThroughputEstimator.predict_throughput_batch`
-calls), the online-trace replay loop, and the :class:`ServiceStats`
-counters.  Everything here assumes exactly one
+calls), the per-board steps of the online-trace replay, and the
+:class:`ServiceStats` counters.  Everything here assumes exactly one
 :class:`~repro.builder.OmniBoostSystem` (one platform, one estimator).
 
 Two front ends sit on top:
@@ -24,7 +24,10 @@ batched inference is bitwise invariant to batch composition (eval-mode
 :func:`~repro.nn.functional.linear_rowwise`), so pooled decisions are
 identical to a sequential per-request loop.
 
-The trace-replay loop is split so a fleet can drive it per board:
+The trace-replay loop itself lives in
+:meth:`repro.fleet.FleetService.run_trace`; an engine replays as a
+fleet of one (:meth:`SchedulingEngine.run_trace`).  The loop drives
+each board through two steps:
 :meth:`SchedulingEngine.stage_trace_event` folds one
 :class:`~repro.workloads.trace.ArrivalEvent` into a board's
 :class:`~repro.online.OnlineScheduler` and stages its re-planning job;
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,16 +60,9 @@ from .frontdoor.cache import ShardedDecisionCache, estimator_cache_token
 from .evaluation.timeline import TimelineRecord, TimelineReport
 from .nn.inference import PlanExecutionError
 from .online import OnlineConfig, OnlineDecision, OnlineScheduler
-from .resilience import (
-    TIERS,
-    DegradationLadder,
-    FaultInjector,
-    ResiliencePolicy,
-    TraceJournal,
-    trace_fingerprint,
-)
+from .resilience import TIERS, DegradationLadder, FaultInjector, ResiliencePolicy
 from .sim.mapping import Mapping
-from .slo import AdmissionController, SLOPolicy, make_estimator_scorer, preemption_victims
+from .slo import SLOPolicy
 from .workloads.generator import WorkloadGenerator, random_contiguous_mapping
 from .workloads.mix import Workload, canonical_signature
 from .workloads.trace import ArrivalEvent, ArrivalTrace
@@ -622,17 +618,22 @@ class SchedulingEngine:
     ) -> TimelineReport:
         """Replay an arrival/departure trace, re-planning each change.
 
-        Events are processed in time order; events sharing a timestamp
-        coalesce into one *group*.  Every event in a group gets its own
-        re-search (over the mix as of that event), and the group's
-        searches are driven concurrently with their leaf evaluations —
-        and the warm path's arrival-completion candidates — pooled
-        into shared ``predict_throughput_batch`` calls, exactly like a
-        ``schedule_many`` batch.  Within a group all searches
-        warm-start from the rows retained *before* the group (they are
-        mutually independent, which is what makes the pooling legal);
-        the group's final decision is then committed as the retained
-        state for the next event.
+        The engine replays as a fleet of one: this delegates to
+        :meth:`repro.fleet.FleetService.run_trace` over a one-board
+        fleet holding this same engine, so decisions and counters are
+        the fleet's and planned records carry this engine's board
+        label (events turned away before placement are boardless, as
+        in any fleet).  Events are processed in time order; events sharing a
+        timestamp coalesce into one *group*.  Every event in a group
+        gets its own re-search (over the mix as of that event), and
+        the group's searches are driven concurrently with their leaf
+        evaluations — and the warm path's arrival-completion
+        candidates — pooled into shared ``predict_throughput_batch``
+        calls, exactly like a ``schedule_many`` batch.  Within a group
+        all searches warm-start from the rows retained *before* the
+        group; the group's final decision is then committed as the
+        retained state for the next event.  An arrival the board has
+        no room for raises :class:`~repro.fleet.PlacementError`.
 
         ``slo`` attaches an :class:`~repro.slo.SLOPolicy`.  A policy
         with enforcement switched off is *observe-only*: the replay is
@@ -654,30 +655,11 @@ class SchedulingEngine:
         (:class:`~repro.resilience.TraceJournal`): every committed
         event group is fsynced to it, and :meth:`resume_trace` can
         reconstruct and continue the replay after a crash,
-        byte-identically.  Journaling is incompatible with an
-        *enforcing* SLO policy (the enforcement queue is not
-        checkpointed); observe-only policies are fine.
+        byte-identically.  Journals cover every policy this method
+        takes: none, observe-only and enforcing SLO policies.
         """
-        online_scheduler = self.make_online_scheduler(online)
-        if slo is not None and slo.enforced:
-            if checkpoint is not None:
-                raise ValueError(
-                    "checkpointing does not cover the SLO enforcement "
-                    "queue; run with an observe-only policy or none"
-                )
-            records = self._replay_enforced(
-                trace, online_scheduler, slo, record_mappings
-            )
-            return self._trace_report(trace, records)
-        journal = None
-        if checkpoint is not None:
-            journal = TraceJournal.create(
-                checkpoint,
-                self._journal_header(trace, online, record_mappings),
-            )
-        return self._replay_journaled(
-            trace, online_scheduler, record_mappings, slo, journal,
-            skip_groups=0, prefix=(),
+        return self._fleet_of_one(slo).run_trace(
+            trace, online, record_mappings, checkpoint=checkpoint
         )
 
     def resume_trace(
@@ -692,143 +674,29 @@ class SchedulingEngine:
 
         The journal's completed groups are not re-planned: their
         records are re-emitted verbatim and the serving state (online
-        tenancy + warm rows, ladder and injector counters) is restored
-        from the last committed group, so the remainder of the replay
-        — which keeps journaling into the same file — produces a
+        tenancy + warm rows, the SLO enforcement queue, ladder and
+        injector counters, cached admission scores) is restored from
+        the last committed group, so the remainder of the replay —
+        which keeps journaling into the same file — produces a
         :class:`~repro.evaluation.TimelineReport` byte-identical to
         the uninterrupted run.  Arguments must match the original call
         (the journal header pins them); a mismatch raises
         :class:`ValueError`.  Resuming an already-complete journal
         just re-emits the report.
         """
-        if slo is not None and slo.enforced:
-            raise ValueError(
-                "checkpointing does not cover the SLO enforcement "
-                "queue; run with an observe-only policy or none"
-            )
-        online_scheduler = self.make_online_scheduler(online)
-        journal, header, entries = TraceJournal.resume(checkpoint)
-        expected = self._journal_header(trace, online, record_mappings)
-        mismatched = [
-            key
-            for key, value in expected.items()
-            if header.get(key) != value
-        ]
-        if mismatched:
-            raise ValueError(
-                f"journal {checkpoint} was written for a different "
-                f"replay (mismatched: {', '.join(sorted(mismatched))})"
-            )
-        records: List[TimelineRecord] = []
-        for entry in entries:
-            records.extend(
-                TimelineRecord.from_dict(record)
-                for record in entry["records"]
-            )
-        if entries:
-            self._restore_journal_state(online_scheduler, entries[-1]["state"])
-        return self._replay_journaled(
-            trace, online_scheduler, record_mappings, slo, journal,
-            skip_groups=len(entries), prefix=tuple(records),
+        return self._fleet_of_one(slo).resume_trace(
+            trace, checkpoint, online, record_mappings
         )
 
-    # ------------------------------------------------------------------
-    # Crash-consistent journaling (checkpoint= / resume_trace)
-    # ------------------------------------------------------------------
-    def _replay_journaled(
-        self,
-        trace: ArrivalTrace,
-        online_scheduler: OnlineScheduler,
-        record_mappings: bool,
-        slo: Optional[SLOPolicy],
-        journal: Optional[TraceJournal],
-        skip_groups: int,
-        prefix: Tuple[TimelineRecord, ...],
-    ) -> TimelineReport:
-        """The (non-enforcing) replay loop, optionally journaled.
+    def _fleet_of_one(self, slo: Optional[SLOPolicy]):
+        from .fleet.service import FleetService  # the fleet imports this module
 
-        With ``journal=None`` and ``skip_groups=0`` this is exactly the
-        historical replay: per-group staging, pooled driving, and
-        observe-only SLO annotation applied per group (a per-record
-        transform, so annotating each group as it completes is
-        byte-identical to annotating the whole list at the end — and
-        it has to happen before the group is journaled).
-        """
-        records: List[TimelineRecord] = list(prefix)
-        index = len(records)
-        target = slo.target if slo is not None else None
-        for position, group in enumerate(trace.grouped()):
-            if position < skip_groups:
-                continue
-            jobs = [
-                self.stage_trace_event(online_scheduler, event)
-                for event in group
-            ]
-            produced = self.replay_group(
-                online_scheduler, jobs, index, record_mappings
-            )
-            if target is not None:
-                produced = [
-                    self._annotate_slo(record, target)
-                    for record in produced
-                ]
-            records.extend(produced)
-            index += len(jobs)
-            if journal is not None:
-                journal.append_group(
-                    position,
-                    len(group),
-                    [record.to_dict() for record in produced],
-                    self._journal_state(online_scheduler),
-                )
-        if journal is not None:
-            journal.close()
-        return self._trace_report(trace, records)
+        return FleetService._of_engine(self, slo)
 
-    def _trace_report(
-        self, trace: ArrivalTrace, records: List[TimelineRecord]
-    ) -> TimelineReport:
-        return TimelineReport(
-            records=tuple(records),
-            trace_name=trace.name,
-            scheduler_name=self._scheduler_instance().name,
-        )
-
-    def _journal_header(
-        self,
-        trace: ArrivalTrace,
-        online: Optional[OnlineConfig],
-        record_mappings: bool,
-    ) -> Dict:
-        """What a resume must match for byte-identity to be possible."""
-        return {
-            "surface": "engine",
-            "board": self.board,
-            "scheduler": self.scheduler_name,
-            "record_mappings": bool(record_mappings),
-            "online": asdict(online or OnlineConfig()),
-            "faults": (
-                self.resilience.faults.to_dict()
-                if self.resilience is not None
-                else None
-            ),
-            "trace": trace_fingerprint(trace),
-        }
-
-    def _journal_state(self, online_scheduler: OnlineScheduler) -> Dict:
-        """Serving state as of the last committed group."""
-        state = {"online": online_scheduler.export_state()}
-        resilience = self.resilience_state()
-        if resilience is not None:
-            state["resilience"] = resilience
-        return state
-
-    def _restore_journal_state(
-        self, online_scheduler: OnlineScheduler, state: Dict
-    ) -> None:
-        online_scheduler.restore_state(state["online"])
-        if "resilience" in state:
-            self.restore_resilience_state(state["resilience"])
+    @property
+    def source(self) -> Union[SystemBuilder, OmniBoostSystem]:
+        """The builder or built system this engine serves."""
+        return self._builder if self._builder is not None else self._system
 
     def resilience_state(self) -> Optional[Dict]:
         """Ladder + injector counters for checkpointing (None if unarmed)."""
@@ -932,222 +800,6 @@ class SchedulingEngine:
         if committed is not None:
             online_scheduler.commit(committed)
         return records
-
-    # ------------------------------------------------------------------
-    # SLO enforcement (run_trace with an enforcing SLOPolicy)
-    # ------------------------------------------------------------------
-    def _replay_enforced(
-        self,
-        trace: ArrivalTrace,
-        online_scheduler: OnlineScheduler,
-        slo: SLOPolicy,
-        record_mappings: bool,
-    ) -> List[TimelineRecord]:
-        """The admission/preemption replay loop over one board.
-
-        Per group: every arrival is judged against live tenancy before
-        it is staged.  A non-admittable arrival first (``preemption``)
-        evicts strictly-lower-priority residents — each eviction is a
-        staged departure that re-plans through the warm path — and
-        only then is queued or rejected (``admission``).  After each
-        group, queued arrivals are retried in FIFO order against the
-        freed capacity.  Departures of tenants that were never
-        admitted become no-op records, so the report still carries one
-        record per trace event.
-        """
-        scheduler = self._scheduler_instance()
-        target = slo.target
-        scorer = None
-        if target is not None and target.min_throughput is not None:
-            scorer = make_estimator_scorer(scheduler)
-        controller = AdmissionController(slo, scorer=scorer)
-        capacity = self._max_residency()
-        queue: List[ArrivalEvent] = []
-        queued_ids: set = set()
-        ghosts: set = set()  # rejected/preempted: later departures no-op
-        records: List[TimelineRecord] = []
-        index = 0
-
-        def evaluate(event: ArrivalEvent) -> str:
-            resident = [
-                model for model, _ in online_scheduler.active.values()
-            ]
-            if event.model in resident:
-                # A queued arrival retried while its model is still
-                # resident (the trace invariant covers offered load,
-                # not the queue) can only wait for the departure.
-                return "queue"
-            return controller.evaluate(
-                (event.model,), load=len(resident), capacity=capacity
-            ).verdict
-
-        for group in trace.grouped():
-            #: ("job", _TraceJob, action) | ("rec", ready TimelineRecord)
-            slots: List[Tuple] = []
-            jobs: List[_TraceJob] = []
-
-            def stage(event: ArrivalEvent, action: str) -> None:
-                job = self.stage_trace_event(online_scheduler, event)
-                jobs.append(job)
-                slots.append(("job", job, action))
-
-            for event in group:
-                if event.kind == "departure":
-                    if event.tenant_id in queued_ids:
-                        queued_ids.discard(event.tenant_id)
-                        queue[:] = [
-                            e for e in queue
-                            if e.tenant_id != event.tenant_id
-                        ]
-                        ghosts.add(event.tenant_id)
-                        slots.append(
-                            ("rec", self._noop_record(
-                                event, online_scheduler, "expired"
-                            ))
-                        )
-                    elif event.tenant_id in ghosts:
-                        slots.append(
-                            ("rec", self._noop_record(
-                                event, online_scheduler, "dropped"
-                            ))
-                        )
-                    else:
-                        stage(event, "")
-                    continue
-                verdict = evaluate(event)
-                # Only a "queue" verdict is load-caused, so only it can
-                # be flipped by evicting residents; a "reject" (floor
-                # unattainable even unloaded) never preempts.
-                if verdict == "queue" and slo.preemption:
-                    while verdict == "queue":
-                        victims = preemption_victims(
-                            online_scheduler.active, event.priority
-                        )
-                        if not victims:
-                            break
-                        tenant_id, model, priority = victims[0]
-                        eviction = ArrivalEvent(
-                            event.time_s, "departure", tenant_id,
-                            model, priority,
-                        )
-                        stage(eviction, "preempted")
-                        ghosts.add(tenant_id)
-                        self._stats.record_preemption(priority)
-                        verdict = evaluate(event)
-                if verdict == "admit" or not slo.admission:
-                    # Preemption without admission never drops work:
-                    # eviction is the whole enforcement.
-                    stage(event, "")
-                elif verdict == "queue" and len(queue) < slo.queue_capacity:
-                    queue.append(event)
-                    queued_ids.add(event.tenant_id)
-                    self._stats.record_queued(event.priority)
-                    slots.append(
-                        ("rec", self._noop_record(
-                            event, online_scheduler, "queued"
-                        ))
-                    )
-                else:
-                    ghosts.add(event.tenant_id)
-                    self._stats.record_rejection(event.priority)
-                    slots.append(
-                        ("rec", self._noop_record(
-                            event, online_scheduler, "rejected"
-                        ))
-                    )
-
-            produced = self.replay_group(
-                online_scheduler, jobs, 0, record_mappings
-            )
-            by_job = {
-                id(job): record for job, record in zip(jobs, produced)
-            }
-            for slot in slots:
-                if slot[0] == "job":
-                    record = replace(
-                        by_job[id(slot[1])], index=index, action=slot[2]
-                    )
-                    if target is not None:
-                        record = self._annotate_slo(record, target)
-                else:
-                    record = replace(slot[1], index=index)
-                records.append(record)
-                index += 1
-
-            # FIFO retry of queued arrivals against the freed capacity.
-            for event in list(queue):
-                if evaluate(event) != "admit":
-                    continue
-                queue.remove(event)
-                queued_ids.discard(event.tenant_id)
-                retry = ArrivalEvent(
-                    group[-1].time_s, "arrival", event.tenant_id,
-                    event.model, event.priority,
-                )
-                job = self.stage_trace_event(online_scheduler, retry)
-                produced = self.replay_group(
-                    online_scheduler, [job], 0, record_mappings
-                )
-                record = replace(
-                    produced[0], index=index, action="dequeued"
-                )
-                if target is not None:
-                    record = self._annotate_slo(record, target)
-                records.append(record)
-                index += 1
-        return records
-
-    def _annotate_slo(
-        self, record: TimelineRecord, target
-    ) -> TimelineRecord:
-        """Annotate one *arrival* outcome against a throughput floor.
-
-        Departure/idle records pass through untouched; the attainment
-        of an admitted arrival (the contract moment) is recorded into
-        the engine counters as well.
-        """
-        if (
-            record.kind != "arrival"
-            or record.expected_score is None
-            or target is None
-            or target.min_throughput is None
-        ):
-            return record
-        ratio = target.ratio(record.expected_score)
-        attained = target.attained(
-            record.expected_score, record.reschedule_time_s
-        )
-        self._stats.record_slo(record.priority, ratio, attained)
-        return replace(record, slo_ratio=ratio, slo_attained=attained)
-
-    def _noop_record(
-        self,
-        event: ArrivalEvent,
-        online_scheduler: OnlineScheduler,
-        action: str,
-    ) -> TimelineRecord:
-        """A no-plan record for an event enforcement kept off the board."""
-        return TimelineRecord(
-            index=0,
-            time_s=event.time_s,
-            kind=event.kind,
-            tenant_id=event.tenant_id,
-            model=event.model,
-            priority=event.priority,
-            active_models=tuple(
-                model for model, _ in online_scheduler.active.values()
-            ),
-            mode="idle",
-            board=self.board,
-            action=action,
-        )
-
-    def _max_residency(self) -> Optional[int]:
-        """The platform's residency cap (None when undiscoverable)."""
-        source = self._builder if self._builder is not None else self._system
-        platform = getattr(source, "platform", None)
-        memory = getattr(platform, "memory", None)
-        return getattr(memory, "max_residency", None)
 
     # ------------------------------------------------------------------
     # Degradation ladder (resilient pooled driving)
@@ -1739,11 +1391,7 @@ class SchedulingEngine:
         1..5 so every workload width the front door serves is
         represented).
         """
-        base = (
-            self._builder.generator
-            if self._builder is not None
-            else self._system.generator
-        )
+        base = self.source.generator
         sampler = WorkloadGenerator(
             model_names=base.model_names,
             num_devices=base.num_devices,

@@ -27,7 +27,9 @@ fleet imbalanced triggers a cross-board re-placement (one tenant
 migrates from the most- to the least-loaded board, re-planned warm on
 both).  The aggregated :class:`~repro.evaluation.TimelineReport`
 interleaves every board's records in event order, each tagged with its
-board name.
+board name.  This is the repo's one trace-replay loop:
+:meth:`~repro.engine.SchedulingEngine.run_trace` replays as a fleet of
+one board holding that same engine.
 
 :meth:`FleetService.stats` returns the :class:`FleetStats` rollup:
 per-board :class:`~repro.engine.ServiceStats` plus fleet-level
@@ -51,7 +53,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.base import ScheduleRequest, ScheduleResponse
 from ..engine import SchedulingEngine, ServiceStats
@@ -77,6 +79,90 @@ __all__ = ["FleetResponse", "FleetService", "FleetStats"]
 
 #: Load imbalance (in resident DNNs) that triggers a migration.
 _REBALANCE_GAP = 2
+
+#: One re-plan of a group: ``(board, event, action)`` to stage on a
+#: board, or a ready no-plan record for an event kept off every board.
+_Slot = Union[Tuple[str, ArrivalEvent, str], TimelineRecord]
+
+
+@dataclass
+class _ReplayState:
+    """Everything one trace replay mutates; :meth:`to_dict` is its journal form.
+
+    Each ``run_trace`` starts from a fresh state (an empty fleet), and
+    ``resume_trace`` rebuilds one from the last committed journal line.
+    Warm states read from a journal wait in ``warm`` until their
+    board's online scheduler is first needed: restoring eagerly would
+    train every board's estimator even when no group remains.
+    """
+
+    online: Optional[OnlineConfig] = None
+    #: Live tenancy: board -> tenant id -> (model, priority), arrival order.
+    tenants: Dict[str, Dict[str, Tuple[str, int]]] = field(default_factory=dict)
+    tenant_board: Dict[str, str] = field(default_factory=dict)
+    onlines: Dict[str, OnlineScheduler] = field(default_factory=dict)
+    warm: Dict[str, Dict] = field(default_factory=dict)
+    #: SLO enforcement: deferred arrivals in FIFO order, and tenants
+    #: (rejected, preempted, expired) whose later departure is a no-op.
+    queue: List[ArrivalEvent] = field(default_factory=list)
+    ghosts: Set[str] = field(default_factory=set)
+    #: Chaos: boards killed so far and how many plan failures fired.
+    dead_boards: List[str] = field(default_factory=list)
+    failures_fired: int = 0
+    #: Report attribution as of the last commit: a resume that finds
+    #: every group committed materializes no scheduler to read it from.
+    scheduler: str = ""
+
+    def to_dict(self) -> Dict:
+        onlines = {
+            board: online.export_state()
+            for board, online in self.onlines.items()
+        }
+        for board, pending in self.warm.items():
+            # Restored but not touched since: carry it forward so a
+            # second crash and resume does not lose it.
+            onlines.setdefault(board, pending)
+        return {
+            "tenants": {
+                board: [
+                    [tenant_id, model, priority]
+                    for tenant_id, (model, priority) in tenants.items()
+                ]
+                for board, tenants in self.tenants.items()
+            },
+            "tenant_board": [
+                [tenant_id, board]
+                for tenant_id, board in self.tenant_board.items()
+            ],
+            "onlines": onlines,
+            "queue": [event.to_dict() for event in self.queue],
+            "ghosts": sorted(self.ghosts),
+            "dead_boards": list(self.dead_boards),
+            "failures_fired": self.failures_fired,
+            "scheduler": self.scheduler,
+        }
+
+    @classmethod
+    def from_dict(
+        cls, payload: Dict, online: Optional[OnlineConfig]
+    ) -> "_ReplayState":
+        return cls(
+            online=online,
+            tenants={
+                board: {
+                    tenant_id: (model, int(priority))
+                    for tenant_id, model, priority in tenants
+                }
+                for board, tenants in payload["tenants"].items()
+            },
+            tenant_board=dict(payload["tenant_board"]),
+            warm=dict(payload["onlines"]),
+            queue=[ArrivalEvent.from_dict(event) for event in payload["queue"]],
+            ghosts=set(payload["ghosts"]),
+            dead_boards=list(payload["dead_boards"]),
+            failures_fired=int(payload["failures_fired"]),
+            scheduler=payload["scheduler"],
+        )
 
 
 @dataclass(frozen=True)
@@ -314,11 +400,9 @@ class FleetService:
         self.fast_path = fast_path
         self.resilience = resilience
         self._engines: Dict[str, SchedulingEngine] = {}
-        #: Live tenancy (run_trace): board -> tenant id -> (model, priority).
-        #: Reset at the start of every replay — a trace starts from an
-        #: empty fleet, exactly like the single-board engine builds a
-        #: fresh OnlineScheduler per run_trace.
-        self._tenants: Dict[str, Dict[str, Tuple[str, int]]] = {}
+        #: Per-replay state, reset at the start of every replay: a
+        #: trace starts from an empty fleet.
+        self._replay = _ReplayState()
         self.placer = FleetPlacer(
             lambda name: self._engines[name].scheduler,
             order=cluster.board_names,
@@ -331,11 +415,10 @@ class FleetService:
         self._migrations = 0
         self.slo = slo
         self._admission: Optional[AdmissionController] = None
-        self._rejections_by_priority: Dict[int, int] = {}
-        self._queued_by_priority: Dict[int, int] = {}
-        self._tenant_board: Dict[str, str] = {}
-        self._onlines: Dict[str, OnlineScheduler] = {}
-        self._online_config: Optional[OnlineConfig] = None
+        #: Requests the admission controller turned away before
+        #: placement (queued and rejected, per priority): no board
+        #: hosts them.
+        self._turned_away = ServiceStats()
         #: Final counter snapshots of boards retired (drained or
         #: killed) — rolled into :attr:`FleetStats.retired_boards`.
         self._retired: Dict[str, ServiceStats] = {}
@@ -349,15 +432,32 @@ class FleetService:
         #: boards scale-in may retire (the onload tier returns; the
         #: baseline edge fleet stays).
         self._elastic_names: set = set()
-        #: Checkpoint/resume bookkeeping for the current replay: online
-        #: states restored from a journal but not yet re-materialized,
-        #: boards chaos already killed, failures already fired, and the
-        #: journaled report scheduler name (a fully-consumed resume
-        #: materializes no scheduler to read it from).
-        self._pending_online_state: Dict[str, Dict] = {}
-        self._chaos_dead: List[str] = []
-        self._failures_fired = 0
-        self._resumed_scheduler_name = ""
+
+    @classmethod
+    def _of_engine(
+        cls, engine: SchedulingEngine, slo: Optional[SLOPolicy]
+    ) -> "FleetService":
+        """A one-board fleet holding ``engine`` itself (its trace replays).
+
+        The engine keeps its label, caches and counters.  Arrivals the
+        fleet turns away are counted on the engine as well, because a
+        single board has no fleet rollup to report them.
+        """
+        name = engine.board or "board"
+        fleet = cls(
+            Cluster([Board(name=name, source=engine.source)]),
+            scheduler=engine.scheduler_name,
+            slo=slo,
+            resilience=engine.resilience,
+        )
+        fleet._engines[name] = engine
+        fleet._turned_away = engine._stats
+        return fleet
+
+    @property
+    def _tenants(self) -> Dict[str, Dict[str, Tuple[str, int]]]:
+        """Live tenancy of the current replay (board -> tenant -> entry)."""
+        return self._replay.tenants
 
     # ------------------------------------------------------------------
     # Batch serving
@@ -492,15 +592,10 @@ class FleetService:
                 admitted_load += len(names)
             elif decision.verdict == "queue":
                 verdicts.append("queued")
-                self._queued_by_priority[request.priority] = (
-                    self._queued_by_priority.get(request.priority, 0) + 1
-                )
+                self._turned_away.record_queued(request.priority)
             else:
                 verdicts.append("rejected")
-                self._rejections_by_priority[request.priority] = (
-                    self._rejections_by_priority.get(request.priority, 0)
-                    + 1
-                )
+                self._turned_away.record_rejection(request.priority)
         return verdicts
 
     def _admission_controller(self) -> AdmissionController:
@@ -540,8 +635,10 @@ class FleetService:
             greedy_fallbacks=self.placer.greedy_fallbacks,
             split_requests=self._split_requests,
             migrations=self._migrations,
-            rejections_by_priority=dict(self._rejections_by_priority),
-            queued_by_priority=dict(self._queued_by_priority),
+            rejections_by_priority=dict(
+                self._turned_away.rejections_by_priority
+            ),
+            queued_by_priority=dict(self._turned_away.queued_by_priority),
         )
 
     # ------------------------------------------------------------------
@@ -580,8 +677,8 @@ class FleetService:
         else:
             self._retired[name] = snapshot
         del self._engines[name]
-        self._onlines.pop(name, None)
-        self._pending_online_state.pop(name, None)
+        self._replay.onlines.pop(name, None)
+        self._replay.warm.pop(name, None)
         self._tenants.pop(name, None)
         self._elastic_names.discard(name)
         self.cluster.remove_board(name)
@@ -642,10 +739,7 @@ class FleetService:
 
     def _active_models(self) -> Tuple[str, ...]:
         """Fleet-wide resident models, tenant arrival order."""
-        return tuple(
-            self._tenants[board][tenant_id][0]
-            for tenant_id, board in self._tenant_board.items()
-        )
+        return tuple(model for model, _ in self._fleet_residents().values())
 
     def _fleet_marker(
         self, time_s: float, kind: str, board: str, action: str
@@ -724,57 +818,37 @@ class FleetService:
                 f"cannot drain {board!r}: the surviving boards cannot "
                 "host every resident"
             )
-        target = self.slo.target if self.slo is not None else None
         records: List[TimelineRecord] = []
-        index = start_index
         for tenant_id, model, priority, dest in plan:
             del self._tenants[board][tenant_id]
-            self._tenant_board.pop(tenant_id, None)
-            records.append(
-                TimelineRecord(
-                    index=index,
-                    time_s=time_s,
-                    kind="departure",
-                    tenant_id=tenant_id,
-                    model=model,
-                    priority=priority,
-                    active_models=self._active_models(),
-                    mode="idle",
-                    board=board,
-                    action="drained",
-                )
+            self._replay.tenant_board.pop(tenant_id, None)
+            departure = self._fleet_noop(
+                ArrivalEvent(time_s, "departure", tenant_id, model, priority),
+                "drained",
+                board,
             )
-            index += 1
             arrival = ArrivalEvent(time_s, "arrival", tenant_id, model, priority)
             self._tenants[dest][tenant_id] = (model, priority)
-            self._tenant_board[tenant_id] = dest
-            job = self._engines[dest].stage_trace_event(
-                self._online(dest), arrival
+            self._replay.tenant_board[tenant_id] = dest
+            records.extend(
+                self._replan(
+                    [departure, (dest, arrival, "drained")],
+                    start_index + len(records),
+                    record_mappings,
+                )
             )
-            produced = self._engines[dest].replay_group(
-                self._online(dest), [job], 0, record_mappings
-            )
-            record = replace(produced[0], index=index, action="drained")
-            if target is not None:
-                record = self._annotate_fleet(record, target)
-            records.append(record)
-            index += 1
             self._migrations += 1
         self._retire_board(board)
         records.append(
             replace(
                 self._fleet_marker(time_s, "scale", board, action),
-                index=index,
+                index=start_index + len(records),
             )
         )
         return records
 
     def _fail_board(
-        self,
-        failure,
-        start_index: int,
-        record_mappings: bool,
-        target,
+        self, failure, start_index: int, record_mappings: bool
     ) -> List[TimelineRecord]:
         """Kill a board mid-trace and recover its orphaned residents.
 
@@ -797,10 +871,10 @@ class FleetService:
             )
         orphans = list(self._tenants[board].items())
         for tenant_id, _ in orphans:
-            self._tenant_board.pop(tenant_id, None)
+            self._replay.tenant_board.pop(tenant_id, None)
         self._tenants[board].clear()
         self._retire_board(board)
-        self._chaos_dead.append(board)
+        self._replay.dead_boards.append(board)
         records = [
             replace(
                 self._fleet_marker(
@@ -809,23 +883,17 @@ class FleetService:
                 index=start_index,
             )
         ]
-        index = start_index + 1
         for tenant_id, (model, priority) in orphans:
             arrival = ArrivalEvent(
                 failure.time_s, "arrival", tenant_id, model, priority
             )
-            dest = self._route_event(arrival)
-            job = self._engines[dest].stage_trace_event(
-                self._online(dest), arrival
+            records.extend(
+                self._replan(
+                    [(self._route_event(arrival), arrival, "recovered")],
+                    start_index + len(records),
+                    record_mappings,
+                )
             )
-            produced = self._engines[dest].replay_group(
-                self._online(dest), [job], 0, record_mappings
-            )
-            record = replace(produced[0], index=index, action="recovered")
-            if target is not None:
-                record = self._annotate_fleet(record, target)
-            records.append(record)
-            index += 1
         return records
 
     # ------------------------------------------------------------------
@@ -843,9 +911,14 @@ class FleetService:
     ) -> TimelineReport:
         """Replay a churn trace against the fleet.
 
+        This is the one trace-replay loop:
+        :meth:`~repro.engine.SchedulingEngine.run_trace` replays as a
+        fleet of one board holding that same engine.
+
         Arrivals are placed against live tenancy (a board never hosts
-        two tenants of one model, never exceeds its residency cap);
-        each board re-plans its own changes with warm-started
+        two tenants of one model, never exceeds its residency cap;
+        :class:`~repro.fleet.PlacementError` when no board can take
+        one); each board re-plans its own changes with warm-started
         re-searches, and a same-timestamp group's re-searches run
         concurrently per board with pooled evaluations.  After a group
         containing departures, ``rebalance`` migrates one tenant from
@@ -865,9 +938,10 @@ class FleetService:
         placement: non-admittable arrivals first evict
         strictly-lower-priority residents when preemption is on (the
         evicted board re-plans warm), then are queued (retried after
-        departures free capacity) or rejected.  Observe-only policies
-        annotate arrival records with attainment and change nothing
-        else.
+        departures free capacity) or rejected; departures of tenants
+        never admitted become no-op records (``"expired"`` /
+        ``"dropped"``).  Observe-only policies annotate arrival records
+        with attainment and change nothing else.
 
         ``chaos`` injects board failures: each
         :class:`~repro.workloads.trace.FailureEvent` fires immediately
@@ -889,28 +963,24 @@ class FleetService:
 
         ``checkpoint`` names a crash-consistent journal file
         (:class:`~repro.resilience.TraceJournal`): every committed
-        event group — its records, the fleet tenancy, each board's
-        warm state and resilience counters, and how many chaos
-        failures have fired — is fsynced to it, and
+        event group is fsynced to it with the replay state — tenancy,
+        each board's warm state, the SLO enforcement queue and ghost
+        tenants, fired chaos failures — plus each board's resilience
+        counters and the admission controller's cached scores, and
         :meth:`resume_trace` (on a *freshly constructed* equivalent
-        fleet) continues the replay byte-identically.  Journaling is
-        incompatible with ``elastic`` (scale decisions depend on
-        un-checkpointed attainment windows) and with an enforcing SLO
-        policy (the enforcement queue is not checkpointed); chaos
-        plans are fully supported.
+        fleet) continues the replay byte-identically.  Chaos plans and
+        observe-only or enforcing SLO policies are journaled;
+        ``elastic`` is not (autoscaler windows and provisioned boards
+        are not in the journal), so the two refuse to combine.
         """
-        if checkpoint is not None:
-            if elastic is not None:
-                raise ValueError(
-                    "checkpointing does not cover elastic fleet-"
-                    "composition changes; run without an ElasticPolicy"
-                )
-            if self.slo is not None and self.slo.enforced:
-                raise ValueError(
-                    "checkpointing does not cover the SLO enforcement "
-                    "queue; run with an observe-only policy or none"
-                )
-        self._reset_replay(online)
+        if checkpoint is not None and elastic is not None:
+            raise ValueError(
+                "checkpointing does not cover elastic fleet-"
+                "composition changes; run without an ElasticPolicy"
+            )
+        self._replay = _ReplayState(
+            online=online, tenants={name: {} for name in self._engines}
+        )
         journal = None
         if checkpoint is not None:
             journal = TraceJournal.create(
@@ -936,23 +1006,21 @@ class FleetService:
         """Continue a journaled fleet :meth:`run_trace` after a crash.
 
         Call it on a freshly constructed fleet equivalent to the one
-        that crashed (same cluster, scheduler, resilience policy): the
-        journal's completed groups are re-emitted verbatim, chaos
-        kills that already fired are replayed against the fresh fleet
-        (board retired, no records), tenancy / per-board warm state /
-        resilience counters are restored from the last committed
-        group, and the remainder — which keeps journaling into the
-        same file — reproduces the uninterrupted report byte for
-        byte.  Arguments must match the original call (the journal
-        header pins them); a mismatch raises :class:`ValueError`.
+        that crashed (same cluster, scheduler, SLO and resilience
+        policies): the journal's completed groups are re-emitted
+        verbatim, chaos kills that already fired are replayed against
+        the fresh fleet (board retired, no records), the replay state,
+        resilience counters and admission scores are restored from the
+        last committed group, and the remainder — which keeps
+        journaling into the same file — reproduces the uninterrupted
+        report byte for byte.  Arguments must match the original call
+        (the journal header pins them); a mismatch raises
+        :class:`ValueError`.
         """
-        if self.slo is not None and self.slo.enforced:
-            raise ValueError(
-                "checkpointing does not cover the SLO enforcement "
-                "queue; run with an observe-only policy or none"
-            )
         journal, header, entries = TraceJournal.resume(checkpoint)
-        self._reset_replay(online)
+        self._replay = _ReplayState(
+            online=online, tenants={name: {} for name in self._engines}
+        )
         expected = self._journal_header(
             trace, online, record_mappings, rebalance, chaos
         )
@@ -962,6 +1030,7 @@ class FleetService:
             if header.get(key) != value
         ]
         if mismatched:
+            journal.close()
             raise ValueError(
                 f"journal {checkpoint} was written for a different "
                 f"replay (mismatched: {', '.join(sorted(mismatched))})"
@@ -972,22 +1041,21 @@ class FleetService:
             for record in entry["records"]
         ]
         if entries:
-            self._restore_fleet_state(entries[-1]["state"])
+            state = entries[-1]["state"]
+            for name in state["dead_boards"]:
+                if name in self._engines:
+                    self._retire_board(name)
+            self._replay = _ReplayState.from_dict(state, online)
+            for board, snapshot in state.get("resilience", {}).items():
+                self._engines[board].restore_resilience_state(snapshot)
+            if "admission" in state:
+                self._admission_controller().restore_state(
+                    state["admission"]
+                )
         return self._replay_trace(
             trace, record_mappings, rebalance, chaos, None, journal,
             skip_groups=len(entries), prefix=tuple(records),
         )
-
-    def _reset_replay(self, online: Optional[OnlineConfig]) -> None:
-        """Per-replay state reset (tenancy, warm state, chaos/journal)."""
-        self._online_config = online
-        self._onlines = {}
-        self._pending_online_state = {}
-        self._tenants = {name: {} for name in self._engines}
-        self._tenant_board = {}
-        self._chaos_dead = []
-        self._failures_fired = 0
-        self._resumed_scheduler_name = ""
 
     def _replay_trace(
         self,
@@ -1000,19 +1068,13 @@ class FleetService:
         skip_groups: int,
         prefix: Tuple[TimelineRecord, ...],
     ) -> TimelineReport:
-        slo = self.slo
-        enforced = slo is not None and slo.enforced
-        target = slo.target if slo is not None else None
-        controller = self._admission_controller() if enforced else None
-        queue: List[ArrivalEvent] = []
-        queued_ids: set = set()
-        ghosts: set = set()
+        enforced = self.slo is not None and self.slo.enforced
+        state = self._replay
         records: List[TimelineRecord] = list(prefix)
-        index = len(records)
         #: Failures the journal says already fired are not re-fired —
-        #: their boards were re-retired by _restore_fleet_state.
+        #: resume_trace re-retired their boards.
         pending_failures = (
-            list(chaos.failures)[self._failures_fired :]
+            list(chaos.failures)[state.failures_fired :]
             if chaos is not None
             else []
         )
@@ -1026,156 +1088,54 @@ class FleetService:
                 pending_failures
                 and pending_failures[0].time_s <= group[0].time_s
             ):
-                failure = pending_failures.pop(0)
-                self._failures_fired += 1
-                produced_failure = self._fail_board(
-                    failure, index, record_mappings, target
+                state.failures_fired += 1
+                records.extend(
+                    self._fail_board(
+                        pending_failures.pop(0), len(records), record_mappings
+                    )
                 )
-                records.extend(produced_failure)
-                index += len(produced_failure)
-            staged: Dict[str, List] = {}
-            #: ("job", board, job position, action) | ("rec", record)
-            order: List[Tuple] = []
-
-            def stage(board: str, event: ArrivalEvent, action: str) -> None:
-                job = self._engines[board].stage_trace_event(
-                    self._online(board), event
-                )
-                staged.setdefault(board, []).append(job)
-                order.append(
-                    ("job", board, len(staged[board]) - 1, action)
-                )
-
+            slots: List[_Slot] = []
             for event in group:
-                if not enforced:
-                    stage(self._route_event(event), event, "")
-                    continue
-                if event.kind == "departure":
-                    if event.tenant_id in queued_ids:
-                        queued_ids.discard(event.tenant_id)
-                        queue[:] = [
-                            e for e in queue
-                            if e.tenant_id != event.tenant_id
-                        ]
-                        ghosts.add(event.tenant_id)
-                        order.append(
-                            ("rec", self._fleet_noop(event, "expired"))
-                        )
-                    elif event.tenant_id in ghosts:
-                        order.append(
-                            ("rec", self._fleet_noop(event, "dropped"))
-                        )
-                    else:
-                        stage(self._route_event(event), event, "")
-                    continue
-                verdict = self._fleet_verdict(controller, event)
-                # Preemption only answers load ("queue"); a "reject"
-                # is load-independent and evictions cannot flip it.
-                if verdict == "queue" and slo.preemption:
-                    while verdict == "queue":
-                        victims = preemption_victims(
-                            self._fleet_residents(), event.priority
-                        )
-                        if not victims:
-                            break
-                        tenant_id, model, priority = victims[0]
-                        victim_board = self._tenant_board.pop(tenant_id)
-                        del self._tenants[victim_board][tenant_id]
-                        eviction = ArrivalEvent(
-                            event.time_s, "departure", tenant_id,
-                            model, priority,
-                        )
-                        stage(victim_board, eviction, "preempted")
-                        ghosts.add(tenant_id)
-                        self._engines[victim_board]._stats.record_preemption(
-                            priority
-                        )
-                        verdict = self._fleet_verdict(controller, event)
-                if verdict == "admit" or not slo.admission:
-                    stage(self._route_event(event), event, "")
-                elif (
-                    verdict == "queue"
-                    and len(queue) < slo.queue_capacity
-                ):
-                    queue.append(event)
-                    queued_ids.add(event.tenant_id)
-                    self._queued_by_priority[event.priority] = (
-                        self._queued_by_priority.get(event.priority, 0) + 1
-                    )
-                    order.append(
-                        ("rec", self._fleet_noop(event, "queued"))
-                    )
+                if enforced:
+                    self._enforce(event, slots)
                 else:
-                    ghosts.add(event.tenant_id)
-                    self._rejections_by_priority[event.priority] = (
-                        self._rejections_by_priority.get(event.priority, 0)
-                        + 1
-                    )
-                    order.append(
-                        ("rec", self._fleet_noop(event, "rejected"))
-                    )
-            produced: Dict[str, List[TimelineRecord]] = {}
-            for board, jobs in staged.items():
-                produced[board] = self._engines[board].replay_group(
-                    self._online(board), jobs, 0, record_mappings
-                )
-            for slot in order:
-                if slot[0] == "job":
-                    _, board, job_position, action = slot
-                    record = replace(
-                        produced[board][job_position],
-                        index=index,
-                        action=action,
-                    )
-                    if target is not None:
-                        record = self._annotate_fleet(record, target)
-                else:
-                    record = replace(slot[1], index=index)
-                records.append(record)
-                index += 1
+                    slots.append((self._route_event(event), event, ""))
+            records.extend(self._replan(slots, len(records), record_mappings))
             if rebalance and any(e.kind == "departure" for e in group):
-                migrated = self._rebalance(
-                    group[-1].time_s, index, record_mappings
+                records.extend(
+                    self._rebalance(
+                        group[-1].time_s, len(records), record_mappings
+                    )
                 )
-                records.extend(migrated)
-                index += len(migrated)
             if scaler is not None:
                 for record in records[group_start:]:
                     if record.slo_ratio is not None:
                         tracker.observe(record.slo_ratio)
-                moves = scaler.step(
-                    group[-1].time_s,
-                    queue_depth=len(queue),
-                    attainment=tracker,
-                    start_index=index,
-                    record_mappings=record_mappings,
+                records.extend(
+                    scaler.step(
+                        group[-1].time_s,
+                        queue_depth=len(state.queue),
+                        attainment=tracker,
+                        start_index=len(records),
+                        record_mappings=record_mappings,
+                    )
                 )
-                records.extend(moves)
-                index += len(moves)
-            if enforced:
-                for event in list(queue):
-                    if self._fleet_verdict(controller, event) != "admit":
-                        continue
-                    queue.remove(event)
-                    queued_ids.discard(event.tenant_id)
-                    retry = ArrivalEvent(
-                        group[-1].time_s, "arrival", event.tenant_id,
-                        event.model, event.priority,
+            # FIFO retry of queued arrivals against the freed capacity.
+            for event in list(state.queue):
+                if self._fleet_verdict(event) != "admit":
+                    continue
+                state.queue.remove(event)
+                retry = ArrivalEvent(
+                    group[-1].time_s, "arrival", event.tenant_id,
+                    event.model, event.priority,
+                )
+                records.extend(
+                    self._replan(
+                        [(self._route_event(retry), retry, "dequeued")],
+                        len(records),
+                        record_mappings,
                     )
-                    board = self._route_event(retry)
-                    job = self._engines[board].stage_trace_event(
-                        self._online(board), retry
-                    )
-                    out = self._engines[board].replay_group(
-                        self._online(board), [job], 0, record_mappings
-                    )
-                    record = replace(
-                        out[0], index=index, action="dequeued"
-                    )
-                    if target is not None:
-                        record = self._annotate_fleet(record, target)
-                    records.append(record)
-                    index += 1
+                )
             if journal is not None:
                 journal.append_group(
                     position,
@@ -1191,6 +1151,110 @@ class FleetService:
             scheduler_name=self._report_scheduler_name(),
         )
 
+    def _enforce(self, event: ArrivalEvent, slots: List[_Slot]) -> None:
+        """Admission, preemption and queueing for one trace event.
+
+        Appends the event's slot to ``slots``, after the evictions it
+        forces, so those re-plan before the arrival.
+        """
+        slo = self.slo
+        state = self._replay
+        if event.kind == "departure":
+            if any(queued.tenant_id == event.tenant_id for queued in state.queue):
+                state.queue = [
+                    queued
+                    for queued in state.queue
+                    if queued.tenant_id != event.tenant_id
+                ]
+                state.ghosts.add(event.tenant_id)
+                slots.append(self._fleet_noop(event, "expired"))
+            elif event.tenant_id in state.ghosts:
+                slots.append(self._fleet_noop(event, "dropped"))
+            else:
+                slots.append((self._route_event(event), event, ""))
+            return
+        verdict = self._fleet_verdict(event)
+        # Preemption only answers load ("queue"); a "reject" is
+        # load-independent and evictions cannot flip it.
+        while verdict == "queue" and slo.preemption:
+            victims = preemption_victims(
+                self._fleet_residents(), event.priority
+            )
+            if not victims:
+                break
+            tenant_id, model, priority = victims[0]
+            board = state.tenant_board.pop(tenant_id)
+            del state.tenants[board][tenant_id]
+            slots.append(
+                (
+                    board,
+                    ArrivalEvent(
+                        event.time_s, "departure", tenant_id, model, priority
+                    ),
+                    "preempted",
+                )
+            )
+            state.ghosts.add(tenant_id)
+            self._engines[board]._stats.record_preemption(priority)
+            verdict = self._fleet_verdict(event)
+        if verdict == "admit" or not slo.admission:
+            # Preemption without admission never drops work: eviction
+            # is the whole enforcement.
+            slots.append((self._route_event(event), event, ""))
+        elif verdict == "queue" and len(state.queue) < slo.queue_capacity:
+            state.queue.append(event)
+            self._turned_away.record_queued(event.priority)
+            slots.append(self._fleet_noop(event, "queued"))
+        else:
+            state.ghosts.add(event.tenant_id)
+            self._turned_away.record_rejection(event.priority)
+            slots.append(self._fleet_noop(event, "rejected"))
+
+    def _replan(
+        self,
+        slots: Sequence[_Slot],
+        start_index: int,
+        record_mappings: bool,
+        annotate: bool = True,
+    ) -> List[TimelineRecord]:
+        """Re-plan one group's slots; records in slot order.
+
+        Each board's staged events run as one pooled
+        :meth:`~repro.engine.SchedulingEngine.replay_group`, boards in
+        the order they were first staged.  Arrival records are
+        annotated against the SLO target (when ``annotate`` and a
+        target is set) on the board the event was routed to.
+        """
+        staged: Dict[str, List] = {}
+        for slot in slots:
+            if not isinstance(slot, TimelineRecord):
+                board, event, _ = slot
+                staged.setdefault(board, []).append(
+                    self._engines[board].stage_trace_event(
+                        self._online(board), event
+                    )
+                )
+        produced = {
+            board: iter(
+                self._engines[board].replay_group(
+                    self._online(board), jobs, 0, record_mappings
+                )
+            )
+            for board, jobs in staged.items()
+        }
+        target = self.slo.target if self.slo is not None else None
+        records: List[TimelineRecord] = []
+        for slot in slots:
+            if isinstance(slot, TimelineRecord):
+                record = slot
+            else:
+                board, _, action = slot
+                record = replace(next(produced[board]), action=action)
+                if annotate and target is not None:
+                    record = self._annotate_fleet(record, target, board)
+            records.append(replace(record, index=start_index + len(records)))
+        return records
+
     # ------------------------------------------------------------------
     # Crash-consistent journaling (checkpoint= / resume_trace)
     # ------------------------------------------------------------------
@@ -1204,7 +1268,7 @@ class FleetService:
         for engine in self._engines.values():
             if engine._scheduler is not None:
                 return engine._scheduler.name
-        return self._resumed_scheduler_name
+        return self._replay.scheduler
 
     def _journal_header(
         self,
@@ -1227,12 +1291,13 @@ class FleetService:
             "scheduler": self.scheduler_name,
             "record_mappings": bool(record_mappings),
             "rebalance": bool(rebalance),
-            "online": asdict(self._online_config or OnlineConfig()),
+            "online": asdict(online or OnlineConfig()),
             "faults": (
                 self.resilience.faults.to_dict()
                 if self.resilience is not None
                 else None
             ),
+            "slo": asdict(self.slo) if self.slo is not None else None,
             "chaos": (
                 [failure.to_dict() for failure in chaos.failures]
                 if chaos is not None
@@ -1242,88 +1307,41 @@ class FleetService:
         }
 
     def _journal_state(self) -> Dict:
-        """Fleet serving state as of the last committed group."""
-        onlines = {
-            board: online.export_state()
-            for board, online in self._onlines.items()
-        }
-        for board, pending in self._pending_online_state.items():
-            # A board restored from a journal but not touched since:
-            # carry its warm state forward so a second crash+resume
-            # does not lose it.
-            onlines.setdefault(board, pending)
-        state = {
-            "tenants": {
-                board: [
-                    [tenant_id, model, priority]
-                    for tenant_id, (model, priority) in tenants.items()
-                ]
-                for board, tenants in self._tenants.items()
-            },
-            "tenant_board": [
-                [tenant_id, board]
-                for tenant_id, board in self._tenant_board.items()
-            ],
-            "onlines": onlines,
-            "failures_fired": self._failures_fired,
-            "dead_boards": list(self._chaos_dead),
-            "scheduler": self._report_scheduler_name(),
-        }
-        resilience = {
-            board: snapshot
-            for board, snapshot in (
-                (name, engine.resilience_state())
-                for name, engine in self._engines.items()
-            )
-            if snapshot is not None
-        }
+        """The replay state plus the engine-lifetime state it depends on.
+
+        Each board's ladder and injector counters, and the admission
+        controller's cached base scores: the scorer's forwards go
+        through the estimator's fault hook, so re-scoring a mix after
+        a resume would shift count-triggered faults.
+        """
+        self._replay.scheduler = self._report_scheduler_name()
+        state = self._replay.to_dict()
+        resilience = {}
+        for name, engine in self._engines.items():
+            snapshot = engine.resilience_state()
+            if snapshot is not None:
+                resilience[name] = snapshot
         if resilience:
             state["resilience"] = resilience
+        if self._admission is not None:
+            state["admission"] = self._admission.export_state()
         return state
-
-    def _restore_fleet_state(self, state: Dict) -> None:
-        """Rebuild the fleet mid-trace from a journal's last state."""
-        for name in state["dead_boards"]:
-            if name in self._engines:
-                self._tenants[name] = {}
-                self._retire_board(name)
-        self._chaos_dead = list(state["dead_boards"])
-        self._failures_fired = int(state["failures_fired"])
-        self._resumed_scheduler_name = state.get("scheduler", "")
-        self._tenants = {name: {} for name in self._engines}
-        for board, tenants in state["tenants"].items():
-            if board in self._engines:
-                self._tenants[board] = {
-                    tenant_id: (model, int(priority))
-                    for tenant_id, model, priority in tenants
-                }
-        self._tenant_board = {
-            tenant_id: board
-            for tenant_id, board in state["tenant_board"]
-        }
-        #: Applied lazily in _online() — restoring eagerly would train
-        #: every board's estimator even when no group remains.
-        self._pending_online_state = dict(state["onlines"])
-        for board, snapshot in state.get("resilience", {}).items():
-            if board in self._engines:
-                self._engines[board].restore_resilience_state(snapshot)
 
     # ------------------------------------------------------------------
     # Trace internals
     # ------------------------------------------------------------------
     def _online(self, board: str) -> OnlineScheduler:
-        if board not in self._onlines:
-            self._onlines[board] = self._engines[board].make_online_scheduler(
-                self._online_config
+        state = self._replay
+        if board not in state.onlines:
+            state.onlines[board] = self._engines[board].make_online_scheduler(
+                state.online
             )
-            pending = self._pending_online_state.pop(board, None)
+            pending = state.warm.pop(board, None)
             if pending is not None:
-                self._onlines[board].restore_state(pending)
-        return self._onlines[board]
+                state.onlines[board].restore_state(pending)
+        return state.onlines[board]
 
-    def _fleet_verdict(
-        self, controller: Optional[AdmissionController], event: ArrivalEvent
-    ) -> str:
+    def _fleet_verdict(self, event: ArrivalEvent) -> str:
         """Admission verdict for one trace arrival against live tenancy.
 
         Feasibility (headroom somewhere, model not resident on every
@@ -1346,9 +1364,7 @@ class FleetService:
         ]
         if not feasible:
             return "queue"
-        if controller is None:
-            return "admit"
-        return controller.evaluate(
+        return self._admission_controller().evaluate(
             (event.model,),
             load=min(load[name] for name in feasible),
             capacity=None,
@@ -1358,11 +1374,13 @@ class FleetService:
         """Fleet-wide tenant -> (model, priority), in arrival order."""
         return {
             tenant_id: self._tenants[board][tenant_id]
-            for tenant_id, board in self._tenant_board.items()
+            for tenant_id, board in self._replay.tenant_board.items()
         }
 
-    def _fleet_noop(self, event: ArrivalEvent, action: str) -> TimelineRecord:
-        """A boardless no-plan record for a non-admitted event."""
+    def _fleet_noop(
+        self, event: ArrivalEvent, action: str, board: str = ""
+    ) -> TimelineRecord:
+        """A no-plan record: a non-admitted event (boardless) or a drain hop."""
         return TimelineRecord(
             index=0,
             time_s=event.time_s,
@@ -1370,19 +1388,20 @@ class FleetService:
             tenant_id=event.tenant_id,
             model=event.model,
             priority=event.priority,
-            active_models=tuple(
-                self._tenants[board][tenant_id][0]
-                for tenant_id, board in self._tenant_board.items()
-            ),
+            active_models=self._active_models(),
             mode="idle",
+            board=board,
             action=action,
         )
 
-    def _annotate_fleet(self, record: TimelineRecord, target) -> TimelineRecord:
+    def _annotate_fleet(
+        self, record: TimelineRecord, target, board: str
+    ) -> TimelineRecord:
         """Annotate an admitted arrival against the policy target.
 
-        Attainment is recorded into the hosting board's engine
-        counters, so :attr:`FleetStats.combined` rolls it up.
+        Attainment is recorded into the counters of ``board``, the
+        board the arrival was routed to, so
+        :attr:`FleetStats.combined` rolls it up.
         """
         if (
             record.kind != "arrival"
@@ -1394,24 +1413,24 @@ class FleetService:
         attained = target.attained(
             record.expected_score, record.reschedule_time_s
         )
-        if record.board in self._engines:
-            self._engines[record.board]._stats.record_slo(
-                record.priority, ratio, attained
-            )
+        self._engines[board]._stats.record_slo(
+            record.priority, ratio, attained
+        )
         return replace(record, slo_ratio=ratio, slo_attained=attained)
 
     def _route_event(self, event: ArrivalEvent) -> str:
         """Pick (arrival) or look up (departure) the event's board."""
+        state = self._replay
         if event.kind == "departure":
-            if event.tenant_id not in self._tenant_board:
+            if event.tenant_id not in state.tenant_board:
                 raise KeyError(
                     f"departure of unknown tenant {event.tenant_id!r}"
                 )
-            board = self._tenant_board.pop(event.tenant_id)
-            del self._tenants[board][event.tenant_id]
+            board = state.tenant_board.pop(event.tenant_id)
+            del state.tenants[board][event.tenant_id]
             return board
         load = {
-            name: len(tenants) for name, tenants in self._tenants.items()
+            name: len(tenants) for name, tenants in state.tenants.items()
         }
         capacity = {
             board.name: board.max_residency - load[board.name]
@@ -1419,13 +1438,13 @@ class FleetService:
         }
         blocked = {
             name: {model for model, _ in tenants.values()}
-            for name, tenants in self._tenants.items()
+            for name, tenants in state.tenants.items()
         }
         workload = Workload.from_names([event.model])
         parts = self.placer.place(workload, load, capacity, blocked)
         board = parts[0].board
-        self._tenants[board][event.tenant_id] = (event.model, event.priority)
-        self._tenant_board[event.tenant_id] = board
+        state.tenants[board][event.tenant_id] = (event.model, event.priority)
+        state.tenant_board[event.tenant_id] = board
         return board
 
     def _rebalance(
@@ -1467,21 +1486,14 @@ class FleetService:
         if candidate is None:
             return []
         tenant_id, model, priority = candidate
-        departure = ArrivalEvent(time_s, "departure", tenant_id, model, priority)
-        arrival = ArrivalEvent(time_s, "arrival", tenant_id, model, priority)
         del self._tenants[source][tenant_id]
         self._tenants[target][tenant_id] = (model, priority)
-        self._tenant_board[tenant_id] = target
-        records: List[TimelineRecord] = []
-        index = start_index
-        for board, event in ((source, departure), (target, arrival)):
-            job = self._engines[board].stage_trace_event(
-                self._online(board), event
-            )
-            produced = self._engines[board].replay_group(
-                self._online(board), [job], 0, record_mappings
-            )
-            records.append(replace(produced[0], index=index))
-            index += 1
+        self._replay.tenant_board[tenant_id] = target
         self._migrations += 1
-        return records
+        slots = [
+            (board, ArrivalEvent(time_s, kind, tenant_id, model, priority), "")
+            for board, kind in ((source, "departure"), (target, "arrival"))
+        ]
+        return self._replan(
+            slots, start_index, record_mappings, annotate=False
+        )

@@ -3,11 +3,12 @@
 A journaled replay writes one JSONL line per committed event *group*
 (all arrivals/departures sharing a timestamp — the replay's atomic
 commit unit), each carrying the records the group emitted plus the
-minimal serving state needed to continue: online-scheduler tenancy and
-warm rows, ladder/injector counters, and (for fleets) per-board
-tenancy, placements, and which chaos failures already fired.  Every
-line is flushed and fsynced before the replay moves on, so a SIGKILL
-at any instant leaves at most one torn trailing line.
+minimal serving state needed to continue: per-board tenancy and warm
+rows, the SLO enforcement queue and the tenants it turned away, which
+chaos failures already fired, each board's ladder/injector counters,
+and the admission controller's cached scores.  Every line is flushed
+and fsynced before the replay moves on, so a SIGKILL at any instant
+leaves at most one torn trailing line.
 
 Recovery semantics are deliberately asymmetric:
 
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 __all__ = ["JOURNAL_FORMAT", "TraceJournal", "trace_fingerprint"]
 
 #: Bumped whenever the journal line schema changes incompatibly.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 
 def trace_fingerprint(trace) -> str:
@@ -49,7 +50,7 @@ class TraceJournal:
 
     Line 1 is the header; each later line is a committed group::
 
-        {"kind": "header", "format": 1, ...caller header fields...}
+        {"kind": "header", "format": 2, ...caller header fields...}
         {"kind": "group", "position": 0, "events": 2,
          "records": [...TimelineRecord.to_dict()...], "state": {...}}
 
@@ -137,7 +138,8 @@ class TraceJournal:
         if header.get("format") != JOURNAL_FORMAT:
             raise ValueError(
                 f"journal {path} has format {header.get('format')!r}; "
-                f"this build writes format {JOURNAL_FORMAT}"
+                f"this build writes format {JOURNAL_FORMAT} and cannot "
+                "resume it (start the replay over)"
             )
         entries = parsed[1:]
         for position, entry in enumerate(entries):

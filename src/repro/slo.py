@@ -181,6 +181,24 @@ class AdmissionController:
             )
         return self._base_scores[signature]
 
+    def export_state(self) -> Dict:
+        """Cached base scores and the fault count, for checkpointing."""
+        return {
+            "base_scores": [
+                [list(signature), score]
+                for signature, score in self._base_scores.items()
+            ],
+            "scorer_faults": self.scorer_faults,
+        }
+
+    def restore_state(self, state: Dict) -> None:
+        """Restore an :meth:`export_state` snapshot."""
+        self._base_scores = {
+            tuple(signature): float(score)
+            for signature, score in state["base_scores"]
+        }
+        self.scorer_faults = int(state["scorer_faults"])
+
     def evaluate(
         self,
         names: Sequence[str],

@@ -1,9 +1,8 @@
-"""SystemBuilder tests: laziness, stage caching, shim equivalence."""
+"""SystemBuilder tests: laziness, stage caching, checkpoint loading."""
 
 import numpy as np
 import pytest
 
-from repro import build_system
 from repro.builder import SystemBuilder
 from repro.core import MCTSConfig
 from repro.workloads import Workload
@@ -93,54 +92,15 @@ class TestConfigurationGuards:
         assert builder.with_mcts_config(MCTSConfig(seed=1)) is builder
 
 
-class TestShimEquivalence:
-    """build_system() must stay a byte-identical front for the builder."""
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        shim = build_system(num_training_samples=40, epochs=2, seed=21)
+class TestCheckpointLoad:
+    def test_checkpoint_roundtrip(self, tmp_path):
         built = _small_builder().build()
-        return shim, built
-
-    def test_latency_tables_identical(self, pair):
-        shim, built = pair
-        for name, table in shim.latency_table.tables.items():
-            np.testing.assert_array_equal(table, built.latency_table.tables[name])
-
-    def test_trained_weights_identical(self, pair):
-        shim, built = pair
-        for old, new in zip(
-            shim.estimator.network.parameters(),
-            built.estimator.network.parameters(),
-        ):
-            np.testing.assert_array_equal(old.data, new.data)
-
-    def test_training_histories_identical(self, pair):
-        shim, built = pair
-        assert shim.training_history.val_losses == built.training_history.val_losses
-
-    def test_decisions_identical(self, pair):
-        shim, built = pair
-        mix = Workload.from_names(["alexnet", "mobilenet", "squeezenet"])
-        assert (
-            shim.omniboost.schedule(mix).mapping
-            == built.omniboost.schedule(mix).mapping
-        )
-
-    def test_comparison_set_identical(self, pair):
-        shim, built = pair
-        assert [s.name for s in shim.schedulers] == [
-            s.name for s in built.schedulers
-        ]
-
-    def test_checkpoint_roundtrip(self, tmp_path, pair):
-        shim, _ = pair
         path = str(tmp_path / "est.npz")
-        shim.estimator.save(path)
+        built.estimator.save(path)
         loaded = SystemBuilder(seed=21).from_checkpoint(path)
         assert not loaded.built("trained")
         for old, new in zip(
-            shim.estimator.network.parameters(),
+            built.estimator.network.parameters(),
             loaded.estimator.network.parameters(),
         ):
             np.testing.assert_array_equal(old.data, new.data)

@@ -3,7 +3,8 @@
 The acceptance bar: a journaled replay SIGKILLed after *any* committed
 event group resumes byte-identically to the uninterrupted run — pinned
 by resuming from the journal truncated at every group boundary, for
-both the single-board engine and a chaos-bearing fleet.
+both the single-board engine and a chaos-bearing fleet, and for both
+under an enforcing SLO policy.
 """
 
 import json
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from repro.builder import SystemBuilder
-from repro.core import MCTSConfig
+from repro.core import MCTSConfig, SLOTarget
 from repro.fleet import Cluster, FleetService
 from repro.online import OnlineConfig
 from repro.resilience import (
@@ -23,8 +24,15 @@ from repro.resilience import (
     trace_fingerprint,
 )
 from repro.service import SchedulingService
-from repro.slo import SLOPolicy
-from repro.workloads import ChaosPlan, FailureEvent, churn_scenario
+from repro.slo import SLOPolicy, make_estimator_scorer
+from repro.workloads import (
+    ArrivalEvent,
+    ArrivalTrace,
+    ChaosPlan,
+    FailureEvent,
+    Workload,
+    churn_scenario,
+)
 
 _ESTIMATOR = {"num_training_samples": 40, "epochs": 3}
 _MCTS = MCTSConfig(budget=20, seed=13)
@@ -69,6 +77,72 @@ def _truncate(journal_path, target, keep_groups):
     """Copy a journal keeping the header plus ``keep_groups`` lines."""
     lines = journal_path.read_text().splitlines(keepends=True)
     target.write_text("".join(lines[: 1 + keep_groups]))
+
+
+def _resume_sweep(run, resume, tmp_path):
+    """Journal ``run``, then resume from every group boundary.
+
+    Returns the control report; every resume must reproduce it, and
+    the journal it completes, byte for byte (the journal's states
+    carry the fault injector's call counts, so a resume that spent
+    an extra estimator forward would show there).
+    """
+    journal_path = tmp_path / "control.journal"
+    control = _pinned(run, checkpoint=str(journal_path))
+    groups = len(journal_path.read_text().splitlines()) - 1
+    assert groups >= 2
+    for keep in range(groups + 1):
+        partial = tmp_path / f"crash-{keep}.journal"
+        _truncate(journal_path, partial, keep)
+        report = _pinned(resume, str(partial))
+        assert _canonical(report) == _canonical(control), (
+            f"diverged at group {keep}"
+        )
+        assert partial.read_text() == journal_path.read_text(), (
+            f"journal diverged at group {keep}"
+        )
+    return control
+
+
+#: Under the enforcing policy below a board admits one tenant at a
+#: time, so this 8-event trace queues, preempts and dequeues on one
+#: board and on two (its models score above zero on both estimators).
+_ENFORCING_TRACE = ArrivalTrace(
+    [
+        ArrivalEvent(0.0, "arrival", "a0", "resnet50", 0),
+        ArrivalEvent(0.5, "arrival", "m0", "mobilenet", 0),
+        ArrivalEvent(1.0, "arrival", "r1", "resnet34", 1),
+        ArrivalEvent(1.5, "departure", "m0", "mobilenet", 0),
+        ArrivalEvent(2.0, "arrival", "m2", "mobilenet", 0),
+        ArrivalEvent(3.0, "departure", "r1", "resnet34", 1),
+        ArrivalEvent(4.0, "departure", "a0", "resnet50", 0),
+        ArrivalEvent(5.0, "departure", "m2", "mobilenet", 0),
+    ],
+    name="enforcing-sweep",
+)
+
+
+def _enforcing_policy(scheduler):
+    """A floor every trace model clears on an empty board only.
+
+    The floor is half the weakest model's unloaded admission score,
+    and the load penalty is so steep that one resident pushes any
+    score under it.
+    """
+    scorer = make_estimator_scorer(scheduler)
+    weakest = min(
+        scorer(Workload.from_names([event.model]))
+        for event in _ENFORCING_TRACE
+    )
+    assert weakest > 0, "the estimator scores a trace model at or below 0"
+    return SLOPolicy(
+        target=SLOTarget(min_throughput=0.5 * weakest), load_penalty=1e6
+    )
+
+
+def _assert_enforcement_fired(report):
+    actions = {record.action for record in report.records}
+    assert {"queued", "preempted", "dequeued"} <= actions, actions
 
 
 # ----------------------------------------------------------------------
@@ -211,28 +285,39 @@ class TestEngineResume:
                 _trace(_EVENTS - 1), str(partial), online=_ONLINE
             )
 
-    def test_enforcing_slo_rejects_checkpointing(self, tmp_path):
-        slo = SLOPolicy(admission=True, preemption=True)
-        with pytest.raises(ValueError, match="enforcement queue"):
-            _service().run_trace(
-                _trace(),
-                online=_ONLINE,
-                slo=slo,
-                checkpoint=str(tmp_path / "x.journal"),
+    def test_enforcing_slo_resume_at_every_group_is_byte_identical(
+        self, tmp_path
+    ):
+        slo = _enforcing_policy(SchedulingService(_builder()).scheduler)
+
+        def run(checkpoint):
+            return _service().run_trace(
+                _ENFORCING_TRACE, online=_ONLINE, slo=slo,
+                checkpoint=checkpoint,
             )
+
+        def resume(checkpoint):
+            return _service().resume_trace(
+                _ENFORCING_TRACE, checkpoint, online=_ONLINE, slo=slo
+            )
+
+        _assert_enforcement_fired(_resume_sweep(run, resume, tmp_path))
 
 
 # ----------------------------------------------------------------------
 # Fleet resume sweep (chaos + faults, fresh fleet per resume)
 # ----------------------------------------------------------------------
-def _fleet():
-    cluster = Cluster.from_presets(
+def _cluster():
+    return Cluster.from_presets(
         [("edge0", "hikey970"), ("edge1", "hikey970")],
         seed=3,
         estimator=_ESTIMATOR,
         mcts_config=_MCTS,
     )
-    return FleetService(cluster, resilience=_POLICY)
+
+
+def _fleet(slo=None):
+    return FleetService(_cluster(), slo=slo, resilience=_POLICY)
 
 
 def _fleet_chaos():
@@ -287,6 +372,25 @@ class TestFleetResume:
             _fleet().resume_trace(
                 _trace(), str(partial), online=_ONLINE, chaos=None
             )
+
+    def test_enforcing_slo_resume_at_every_group_is_byte_identical(
+        self, tmp_path
+    ):
+        # The fleet scores admission on its first board.
+        edge0 = FleetService(_cluster()).engine("edge0")
+        slo = _enforcing_policy(edge0.scheduler)
+
+        def run(checkpoint):
+            return _fleet(slo).run_trace(
+                _ENFORCING_TRACE, online=_ONLINE, checkpoint=checkpoint
+            )
+
+        def resume(checkpoint):
+            return _fleet(slo).resume_trace(
+                _ENFORCING_TRACE, checkpoint, online=_ONLINE
+            )
+
+        _assert_enforcement_fired(_resume_sweep(run, resume, tmp_path))
 
     def test_elastic_rejects_checkpointing(self, tmp_path):
         from repro.fleet import ElasticPolicy

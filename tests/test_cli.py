@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workloads import ArrivalEvent, ArrivalTrace
 
 
 class TestParser:
@@ -199,11 +200,30 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="--resume requires --journal"):
             main(["serve-trace", "estimator-brownout", "--resume"])
 
-    def test_journal_rejects_enforcing_slo(self, tmp_path):
-        with pytest.raises(SystemExit, match="enforcement queue"):
+    def test_journal_accepts_enforcing_slo(self, tmp_path):
+        journal = tmp_path / "x.journal"
+        assert main(
+            ["serve-trace", "estimator-brownout", "--events", "4",
+             "--samples", "40", "--epochs", "3", "--budget", "20",
+             "--journal", str(journal), "--slo", "1.0"]
+        ) == 0
+        # A header line plus one committed line per event group.
+        assert len(journal.read_text().splitlines()) > 1
+
+    def test_over_capacity_trace_is_usage_error(self, tmp_path):
+        path = tmp_path / "trace.json"
+        names = ["alexnet", "mobilenet", "squeezenet", "resnet34",
+                 "resnet50", "vgg13"]
+        ArrivalTrace(
+            [
+                ArrivalEvent(float(index), "arrival", f"t{index}", name)
+                for index, name in enumerate(names)
+            ]
+        ).to_json(str(path))
+        with pytest.raises(SystemExit, match="exceeds capacity"):
             main(
-                ["serve-trace", "estimator-brownout",
-                 "--journal", str(tmp_path / "x.journal"), "--slo", "1.0"]
+                ["serve-trace", "--trace-file", str(path), "--samples",
+                 "40", "--epochs", "3", "--budget", "20"]
             )
 
     def test_malformed_chaos_is_usage_error(self):

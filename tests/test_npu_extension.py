@@ -10,7 +10,7 @@ valid 4-device mappings end to end.
 import numpy as np
 import pytest
 
-from repro import build_system
+from repro import SystemBuilder
 from repro.core import MCTSConfig, SchedulingEnv
 from repro.hw import NPU_ID, DeviceKind, hikey970_with_npu
 from repro.sim import BoardSimulator, KernelProfiler, Mapping
@@ -66,12 +66,12 @@ class TestFourDeviceStack:
         assert result.device_utilization.shape == (4,)
 
     def test_end_to_end_scheduling_on_four_devices(self, npu_platform):
-        system = build_system(
-            platform=npu_platform,
-            num_training_samples=80,
-            epochs=5,
-            mcts_config=MCTSConfig(budget=80, seed=2),
-            seed=11,
+        system = (
+            SystemBuilder(seed=11)
+            .with_platform(npu_platform)
+            .with_estimator(num_training_samples=80, epochs=5)
+            .with_mcts_config(MCTSConfig(budget=80, seed=2))
+            .build()
         )
         assert system.estimator.network.stem.conv.in_channels == 4
         mix = Workload.from_names(["vgg19", "resnet50", "alexnet"])

@@ -16,6 +16,7 @@ from repro.builder import SystemBuilder
 from repro.core import MCTSConfig, MonteCarloTreeSearch, SchedulingEnv
 from repro.core.scheduler import OmniBoostScheduler
 from repro.evaluation import TimelineReport, write_timeline_json
+from repro.fleet import PlacementError
 from repro.online import OnlineConfig, OnlineScheduler
 from repro.service import SchedulingService
 from repro.workloads import (
@@ -524,6 +525,20 @@ class TestRunTrace:
         service = SchedulingService(SystemBuilder(seed=29), scheduler="baseline")
         with pytest.raises(TypeError):
             service.run_trace(churn_scenario("steady-drain").truncated(2))
+
+    def test_over_capacity_trace_raises(self):
+        """A sixth concurrent DNN on a five-resident HiKey970 fails
+        loudly instead of planning a mix the board cannot hold."""
+        names = ["alexnet", "mobilenet", "squeezenet", "resnet34",
+                 "resnet50", "vgg13"]
+        trace = ArrivalTrace(
+            [
+                ArrivalEvent(float(index), "arrival", f"t{index}", name)
+                for index, name in enumerate(names)
+            ]
+        )
+        with pytest.raises(PlacementError, match="cannot host"):
+            _make_service().run_trace(trace)
 
     def test_drain_to_empty_records_idle(self):
         service = _make_service()

@@ -8,7 +8,7 @@ paper-scale numbers live in the benchmarks.
 import numpy as np
 import pytest
 
-from repro import build_system, Workload
+from repro import SystemBuilder, Workload
 from repro.core import MCTSConfig
 from repro.baselines import GAConfig
 from repro.evaluation import EvaluationHarness, RuntimeCostModel
@@ -16,12 +16,12 @@ from repro.evaluation import EvaluationHarness, RuntimeCostModel
 
 @pytest.fixture(scope="module")
 def system():
-    return build_system(
-        num_training_samples=250,
-        epochs=25,
-        mcts_config=MCTSConfig(budget=250, seed=5),
-        ga_config=GAConfig(population_size=12, generations=10, seed=5),
-        seed=42,
+    return (
+        SystemBuilder(seed=42)
+        .with_estimator(num_training_samples=250, epochs=25)
+        .with_mcts_config(MCTSConfig(budget=250, seed=5))
+        .with_ga_config(GAConfig(population_size=12, generations=10, seed=5))
+        .build()
     )
 
 
@@ -46,13 +46,8 @@ class TestSystemAssembly:
         assert names == ["Baseline", "MOSAIC", "GA", "OmniBoost"]
 
     def test_untrained_build(self):
-        system = build_system(train=False)
+        system = SystemBuilder().with_estimator(train=False).build()
         assert system.training_history is None
-
-    def test_build_system_shim_warns_deprecation(self):
-        """The eager shim must point callers at the staged builder."""
-        with pytest.warns(DeprecationWarning, match="SystemBuilder"):
-            build_system(train=False)
 
 
 class TestPaperClaims:
@@ -154,18 +149,19 @@ class TestPaperClaims:
 
 
 class TestReservedSystemIntegration:
-    """build_system with embedding-capacity reservation, end to end."""
+    """A built system with embedding-capacity reservation, end to end."""
 
     @pytest.fixture(scope="class")
     def reserved_system(self):
-        from repro import build_system
-
-        return build_system(
-            num_training_samples=60,
-            epochs=4,
-            reserve_layers=64,
-            reserve_models=13,
-            seed=9,
+        return (
+            SystemBuilder(seed=9)
+            .with_estimator(
+                num_training_samples=60,
+                epochs=4,
+                reserve_layers=64,
+                reserve_models=13,
+            )
+            .build()
         )
 
     def test_geometry_reserved(self, reserved_system):

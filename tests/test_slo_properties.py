@@ -25,6 +25,7 @@ wall-clock.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro import SystemBuilder
 from repro.core import MCTSConfig, SLOTarget
 from repro.engine import SchedulingEngine
 from repro.fleet import Cluster, FleetService
+from repro.models.registry import MODEL_NAMES
 from repro.slo import (
     AdmissionController,
     SLOPolicy,
@@ -40,7 +42,7 @@ from repro.slo import (
     make_estimator_scorer,
     preemption_victims,
 )
-from repro.workloads import Workload, churn_scenario
+from repro.workloads import Workload, churn_scenario, generate_trace
 
 _ESTIMATOR = {"num_training_samples": 40, "epochs": 3}
 _MCTS = MCTSConfig(budget=40, seed=13)
@@ -60,6 +62,21 @@ def _stable(record):
     return dataclasses.replace(
         record, reschedule_time_s=0.0, slo_ratio=None, slo_attained=None
     )
+
+
+def _assert_enforcement_counted(report, stats):
+    """Per-priority enforcement counters equal the report's actions."""
+    for action, counters in (
+        ("queued", stats.queued_by_priority),
+        ("rejected", stats.rejections_by_priority),
+        ("preempted", stats.preemptions_by_priority),
+    ):
+        recorded = Counter(
+            record.priority
+            for record in report.records
+            if record.action == action
+        )
+        assert counters == dict(recorded), action
 
 
 def _stable_stats(stats):
@@ -405,3 +422,45 @@ class TestEnforcementAcceptance:
         assert [r.index for r in report.records] == list(
             range(len(report.records))
         )
+
+    def test_stats_count_every_enforcement_action(self):
+        """Queued, rejected and preempted counters equal the records'
+        per-priority actions, on one board and rolled up over a
+        two-board fleet."""
+
+        def cluster():
+            # Seed 3 trains estimators scoring every zoo model above 0.
+            return Cluster.from_presets(
+                {"edge0": "hikey970", "edge1": "hikey970"},
+                seed=3,
+                estimator=_ESTIMATOR,
+                mcts_config=_MCTS,
+            )
+
+        scorer = make_estimator_scorer(
+            FleetService(cluster()).engine("edge0").scheduler
+        )
+        median = sorted(
+            scorer(Workload.from_names([name])) for name in MODEL_NAMES
+        )[len(MODEL_NAMES) // 2]
+        policy = SLOPolicy(
+            target=SLOTarget(min_throughput=median), queue_capacity=1
+        )
+        trace = generate_trace(
+            arrival_rate=1.5,
+            min_lifetime_s=8,
+            max_lifetime_s=30,
+            horizon_s=14,
+            max_concurrent=11,
+            priorities=(0, 1, 2),
+            seed=0,
+        )
+        engine = SchedulingEngine(cluster().board("edge0").source)
+        fleet = FleetService(cluster(), slo=policy)
+        for report, stats in (
+            (engine.run_trace(trace, slo=policy), engine.stats),
+            (fleet.run_trace(trace), lambda: fleet.stats().combined),
+        ):
+            actions = {record.action for record in report.records}
+            assert {"queued", "rejected", "preempted"} <= actions, actions
+            _assert_enforcement_counted(report, stats())
