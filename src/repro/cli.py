@@ -405,13 +405,9 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
             f"{stats.tier_probes} probe(s)"
         )
     if stats.slo_requests:
-        pcts = ", ".join(
-            f"p{p}: {ratio:.2f}"
-            for p, ratio in stats.slo_percentiles().items()
-        )
         print(
-            f"slo: {stats.slo_attained}/{stats.slo_requests} attained "
-            f"({pcts}); rejections {stats.rejections_by_priority}, "
+            f"slo: {stats.slo_attained}/{stats.slo_requests} attained; "
+            f"rejections {stats.rejections_by_priority}, "
             f"queued {stats.queued_by_priority}, "
             f"preemptions {stats.preemptions_by_priority}"
         )
@@ -795,6 +791,32 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
+    """The estimator-training and search flags of a system-building command."""
+    parser.add_argument("--samples", type=int, default=300)
+    parser.add_argument("--epochs", type=int, default=25)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--eval-batch-size",
+        type=_positive_int,
+        default=1,
+        help="MCTS rollouts scored per vectorized estimator call "
+        "(1 = the paper's sequential semantics)",
+    )
+    parser.add_argument(
+        "--no-eval-cache",
+        action="store_true",
+        help="disable the MCTS transposition cache (re-query repeated "
+        "rollout leaves)",
+    )
+    parser.add_argument(
+        "--no-compiled-inference",
+        action="store_true",
+        help="run estimator queries through the autograd interpreter "
+        "instead of the compiled inference plan",
+    )
+
+
 def _add_frontdoor_arguments(parser: argparse.ArgumentParser) -> None:
     """``--window-size``/``--cache-dir``/``--distill`` flag block."""
     group = parser.add_argument_group("front door")
@@ -913,28 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser("schedule", help="schedule a mix, compare schedulers")
     schedule.add_argument("mix", nargs="+", help=f"models: {', '.join(MODEL_NAMES)}")
     schedule.add_argument("--checkpoint", type=str, default="")
-    schedule.add_argument("--samples", type=int, default=300)
-    schedule.add_argument("--epochs", type=int, default=25)
-    schedule.add_argument("--seed", type=int, default=0)
-    schedule.add_argument(
-        "--eval-batch-size",
-        type=_positive_int,
-        default=1,
-        help="MCTS rollouts scored per vectorized estimator call "
-        "(1 = the paper's sequential semantics)",
-    )
-    schedule.add_argument(
-        "--no-eval-cache",
-        action="store_true",
-        help="disable the MCTS transposition cache (re-query repeated "
-        "rollout leaves)",
-    )
-    schedule.add_argument(
-        "--no-compiled-inference",
-        action="store_true",
-        help="run estimator queries through the autograd interpreter "
-        "instead of the compiled inference plan",
-    )
+    _add_system_arguments(schedule)
     schedule.add_argument(
         "--scheduler",
         action="append",
@@ -955,12 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         'object {"models": [...], "budget": N, "priority": N, "id": "..."}',
     )
     serve.add_argument("--checkpoint", type=str, default="")
-    serve.add_argument("--samples", type=int, default=300)
-    serve.add_argument("--epochs", type=int, default=25)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--eval-batch-size", type=_positive_int, default=1)
-    serve.add_argument("--no-eval-cache", action="store_true")
-    serve.add_argument("--no-compiled-inference", action="store_true")
+    _add_system_arguments(serve)
     serve.add_argument(
         "--scheduler",
         type=str,
@@ -1002,12 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--trace-seed", type=int, default=0)
     trace.add_argument("--checkpoint", type=str, default="")
-    trace.add_argument("--samples", type=int, default=300)
-    trace.add_argument("--epochs", type=int, default=25)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--eval-batch-size", type=_positive_int, default=1)
-    trace.add_argument("--no-eval-cache", action="store_true")
-    trace.add_argument("--no-compiled-inference", action="store_true")
+    _add_system_arguments(trace)
     trace.add_argument(
         "--budget",
         type=_positive_int,
@@ -1170,12 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "power", help="throughput-vs-power objectives on one mix"
     )
     power.add_argument("mix", nargs="+")
-    power.add_argument("--samples", type=int, default=300)
-    power.add_argument("--epochs", type=int, default=25)
-    power.add_argument("--seed", type=int, default=0)
-    power.add_argument("--eval-batch-size", type=_positive_int, default=1)
-    power.add_argument("--no-eval-cache", action="store_true")
-    power.add_argument("--no-compiled-inference", action="store_true")
+    _add_system_arguments(power)
     power.set_defaults(fn=_cmd_power)
     return parser
 

@@ -34,21 +34,27 @@ each board through two steps:
 :meth:`SchedulingEngine.replay_group` drives a coalesced group of
 staged jobs concurrently (pooled evaluations) and commits the group's
 final decision as the board's warm-start state.
+
+A request's search and a trace event's re-plan are the same kind of
+job — a coroutine that yields ``(workload, mappings)`` and returns its
+outcome — so one drive (:meth:`SchedulingEngine._drive`), one
+degradation ladder and one greedy floor serve both.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .baselines.ga import StaticCostModel
 from .builder import OmniBoostSystem, SystemBuilder
 from .core.base import ScheduleDecision, ScheduleRequest, ScheduleResponse, Scheduler
-from .core.mcts import MCTSResult
+from .core.objectives import SchedulingObjective
 from .core.scheduler import OmniBoostScheduler
 from .estimator.distill import (
     DistilledEstimator,
@@ -75,7 +81,11 @@ CacheKey = Tuple[str, Tuple[str, ...], Optional[int]]
 
 @dataclass
 class ServiceStats:
-    """Engine-lifetime counters (monotonic; see :meth:`SchedulingEngine.stats`)."""
+    """Engine-lifetime counters (monotonic; see :meth:`SchedulingEngine.stats`).
+
+    Every field is a number or a per-key dict of numbers, so
+    :meth:`absorb` merges snapshots field by field.
+    """
 
     requests_served: int = 0
     cache_hits: int = 0
@@ -117,13 +127,13 @@ class ServiceStats:
     #: no estimator) has materialized or compiled inference is off.
     estimator_plan_compiles: int = 0
     #: SLO accounting (:mod:`repro.slo`): how many outcomes were held
-    #: against a throughput floor, how many attained it, the per-
-    #: priority attainment ratios behind the percentile views, and the
-    #: per-priority enforcement actions.  All stay empty/zero while no
-    #: SLO target or policy is in play.
+    #: against a throughput floor, how many attained it, and the per-
+    #: priority enforcement actions.  All stay empty/zero while no SLO
+    #: target or policy is in play.  The attainment-ratio percentiles
+    #: live on the :class:`~repro.evaluation.TimelineReport`, which
+    #: holds one ratio per annotated record.
     slo_requests: int = 0
     slo_attained: int = 0
-    slo_ratios_by_priority: Dict[int, List[float]] = field(default_factory=dict)
     rejections_by_priority: Dict[int, int] = field(default_factory=dict)
     preemptions_by_priority: Dict[int, int] = field(default_factory=dict)
     queued_by_priority: Dict[int, int] = field(default_factory=dict)
@@ -177,15 +187,11 @@ class ServiceStats:
             return 0.0
         return self.slo_attained / self.slo_requests
 
-    def record_slo(
-        self, priority: int, ratio: Optional[float], attained: bool
-    ) -> None:
+    def record_slo(self, attained: bool) -> None:
         """Fold one outcome's contract attainment into the counters."""
         self.slo_requests += 1
         if attained:
             self.slo_attained += 1
-        if ratio is not None:
-            self.slo_ratios_by_priority.setdefault(priority, []).append(ratio)
 
     def record_rejection(self, priority: int) -> None:
         self.rejections_by_priority[priority] = (
@@ -204,107 +210,60 @@ class ServiceStats:
         )
 
     def absorb(self, other: "ServiceStats") -> None:
-        """Fold another snapshot's counters into this one.
+        """Fold another snapshot's counters into this one, field by field.
 
-        The fleet rollup (:attr:`repro.fleet.FleetStats.combined`) sums
-        live *and* retired boards through this method, so a board
-        drained or killed mid-trace keeps contributing its request and
-        wait totals instead of vanishing from the aggregate.
+        Numbers add; per-key dicts add per key.  The fleet rollup
+        (:attr:`repro.fleet.FleetStats.combined`) sums live *and*
+        retired boards through this method, so a board drained or
+        killed mid-trace keeps contributing its request and wait totals
+        instead of vanishing from the aggregate — and a counter added
+        to this class is merged without being listed anywhere.
         """
-        self.requests_served += other.requests_served
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_bypasses += other.cache_bypasses
-        self.cache_evictions += other.cache_evictions
-        self.cache_persisted += other.cache_persisted
-        self.pooled_eval_batches += other.pooled_eval_batches
-        self.pooled_evaluations += other.pooled_evaluations
-        self.estimator_queries += other.estimator_queries
-        self.estimator_queries_actual += other.estimator_queries_actual
-        self.distilled_queries += other.distilled_queries
-        self.distilled_pruned += other.distilled_pruned
-        self.trace_events += other.trace_events
-        self.trace_reschedules += other.trace_reschedules
-        self.trace_warm_reschedules += other.trace_warm_reschedules
-        self.estimator_plan_compiles += other.estimator_plan_compiles
-        self.slo_requests += other.slo_requests
-        self.slo_attained += other.slo_attained
-        self.faults_detected += other.faults_detected
-        self.cache_corruptions += other.cache_corruptions
-        self.degraded_decisions += other.degraded_decisions
-        self.tier_step_downs += other.tier_step_downs
-        self.tier_step_ups += other.tier_step_ups
-        self.tier_probes += other.tier_probes
-        for tier, count in other.decisions_by_tier.items():
-            self.decisions_by_tier[tier] = (
-                self.decisions_by_tier.get(tier, 0) + count
-            )
-        for priority, count in other.requests_by_priority.items():
-            self.requests_by_priority[priority] = (
-                self.requests_by_priority.get(priority, 0) + count
-            )
-        for priority, wait_s in other.wait_s_by_priority.items():
-            self.wait_s_by_priority[priority] = (
-                self.wait_s_by_priority.get(priority, 0.0) + wait_s
-            )
-        for priority, ratios in other.slo_ratios_by_priority.items():
-            self.slo_ratios_by_priority.setdefault(priority, []).extend(ratios)
-        for counters, source in (
-            (self.rejections_by_priority, other.rejections_by_priority),
-            (self.preemptions_by_priority, other.preemptions_by_priority),
-            (self.queued_by_priority, other.queued_by_priority),
-        ):
-            for priority, count in source.items():
-                counters[priority] = counters.get(priority, 0) + count
-
-    def slo_percentiles(
-        self,
-        percentiles: Sequence[int] = (50, 95, 99),
-        priority: Optional[int] = None,
-    ) -> Dict[int, float]:
-        """pP attainment over the recorded ratios (exact order stats).
-
-        Same definition as
-        :meth:`~repro.evaluation.TimelineReport.slo_attainment_percentiles`:
-        the worst ratio among the best P% of outcomes, so ``p95 >= 1.0``
-        means 95% of accounted outcomes met their floor.  Empty when
-        nothing was recorded (or nothing matches ``priority``).
-        """
-        ratios: List[float] = []
-        for bucket, values in self.slo_ratios_by_priority.items():
-            if priority is None or bucket == priority:
-                ratios.extend(values)
-        if not ratios:
-            return {}
-        ratios.sort(reverse=True)
-        result: Dict[int, float] = {}
-        for percentile in percentiles:
-            if not 0 < percentile <= 100:
-                raise ValueError(
-                    f"percentiles must be in (0, 100], got {percentile}"
-                )
-            rank = min(
-                len(ratios), max(1, math.ceil(percentile / 100 * len(ratios)))
-            )
-            result[percentile] = ratios[rank - 1]
-        return result
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, spec.name, mine + theirs)
 
 
 @dataclass
-class _SearchJob:
-    """One live MCTS search inside a pooled ``schedule_many`` round."""
+class _Job:
+    """One decision inside a pooled drive.
 
-    request: ScheduleRequest
-    index: int
-    key: Optional[CacheKey]
-    started: float
+    A request's search (:meth:`SchedulingEngine.schedule_many`) and a
+    trace event's re-plan (:meth:`SchedulingEngine.stage_trace_event`)
+    share this shape: ``steps(job)`` builds a coroutine that yields
+    ``(workload, mappings)`` evaluation requests, takes their rewards
+    via ``send()`` and returns the outcome — a search's
+    :class:`~repro.core.mcts.MCTSResult` or a re-plan's
+    :class:`~repro.online.OnlineDecision`.  The ladder's greedy floor
+    answers with a :class:`ScheduleDecision` instead, and a faulted
+    drive calls ``steps(job)`` again to retry from scratch.
+    """
+
+    #: The mix to decide; ``None`` for an idle trace event (the board
+    #: emptied, nothing to plan).
+    workload: Optional[Workload]
+    steps: Callable[["_Job"], Generator]
+    #: Host clock when the engine received the job: arrival for a
+    #: request, :meth:`SchedulingEngine.replay_group` entry for a
+    #: trace event.  Ladder retries keep it.
+    started: float = 0.0
+    #: The objective rewards are scored with (a request's override,
+    #: else the scheduler's; ``None`` is mean predicted throughput).
+    objective: Optional[SchedulingObjective] = None
     gen: object = None
-    pending: Optional[List[Mapping]] = None
-    result: Optional[MCTSResult] = None
-    #: Set instead of ``result`` when the greedy resilience tier
-    #: answered without a search.
-    decision: Optional[ScheduleDecision] = None
+    #: The open evaluation request: (workload, mappings) or None.
+    pending: Optional[Tuple[Workload, List[Mapping]]] = None
+    outcome: object = None
     elapsed: float = 0.0
+    #: Request jobs: the request, its batch position and cache key.
+    request: Optional[ScheduleRequest] = None
+    index: int = 0
+    key: Optional[CacheKey] = None
     #: Drive priority: the leader's, raised to any follower's — a
     #: high-priority duplicate of a low-priority in-flight mix must
     #: not wait at low priority (classic priority inversion).
@@ -312,10 +271,13 @@ class _SearchJob:
     #: Requests with the same signature arriving after this job was
     #: opened; they reuse its decision as in-flight cache hits.
     followers: List[Tuple[int, ScheduleRequest, float]] = field(default_factory=list)
-    #: Distilled fast path: whether any round of this search pruned
-    #: candidates, and the full-estimator rewards of every candidate
-    #: that *did* reach the full estimator — the certification set the
-    #: final decision is drawn from (the correctness contract).
+    #: Trace jobs: the event this re-plan answers.
+    event: Optional[ArrivalEvent] = None
+    #: Distilled fast path (:meth:`SchedulingEngine._pruned`): whether
+    #: any round of this search pruned candidates, and the
+    #: full-estimator rewards of every candidate that *did* reach the
+    #: full estimator — the certification set the final decision is
+    #: drawn from (the correctness contract).
     pruned: bool = False
     #: Full-estimator forwards this job actually paid (survivors plus
     #: re-certification); replaces the search's own
@@ -327,21 +289,6 @@ class _SearchJob:
     #: pruned — the recertification pool (best of them get one full
     #: batch at certification time).
     proxy_scores: Optional[Dict[Mapping, float]] = None
-
-
-@dataclass
-class _TraceJob:
-    """One trace event's re-planning inside a coalesced group."""
-
-    event: ArrivalEvent
-    workload: Optional[Workload]
-    started: float = 0.0
-    gen: object = None
-    #: The open evaluation request: (workload, mappings) or None.
-    pending: Optional[List[Mapping]] = None
-    pending_workload: Optional[Workload] = None
-    outcome: Optional[OnlineDecision] = None
-    elapsed: float = 0.0
 
 
 class SchedulingEngine:
@@ -466,8 +413,8 @@ class SchedulingEngine:
         scheduler = self._scheduler_instance()
         pooling = isinstance(scheduler, OmniBoostScheduler)
 
-        jobs: List[_SearchJob] = []
-        open_jobs: Dict[CacheKey, _SearchJob] = {}
+        jobs: List[_Job] = []
+        open_jobs: Dict[CacheKey, _Job] = {}
         for i in range(len(normalized)):
             request = normalized[i]
             started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of per-request latency
@@ -503,12 +450,19 @@ class SchedulingEngine:
                     continue
                 self._stats.cache_misses += 1
             if pooling:
-                job = _SearchJob(
+                job = _Job(
+                    workload=request.workload,
+                    started=started,
+                    objective=(
+                        request.objective
+                        if request.objective is not None
+                        else scheduler.objective
+                    ),
                     request=request,
                     index=i,
                     key=key,
-                    started=started,
                     priority=request.priority,
+                    steps=partial(self._search_steps, scheduler),
                 )
                 jobs.append(job)
                 if key is not None:
@@ -518,13 +472,14 @@ class SchedulingEngine:
 
         if jobs:
             jobs.sort(key=lambda job: (-job.priority, job.index))
-            self._resilient_drive(scheduler, None, jobs, kind="search")
+            self._resilient_drive(scheduler, jobs)
             for job in jobs:
-                if job.decision is not None:
-                    decision = job.decision
-                else:
+                decision = job.outcome
+                if not isinstance(decision, ScheduleDecision):
+                    # A search result (the greedy floor answers with a
+                    # decision directly).
                     decision = scheduler.decision_from_result(
-                        job.result, int(job.result.cache_misses)
+                        decision, int(decision.cache_misses)
                     )
                 if job.pruned:
                     # The search's own "actual" counter believes every
@@ -564,48 +519,25 @@ class SchedulingEngine:
             )
             if request.slo is not None:
                 self._stats.record_slo(
-                    request.priority,
-                    request.slo.ratio(response.expected_score),
                     request.slo.attained(
                         response.expected_score,
                         response.measured_wall_time_s,
-                    ),
+                    )
                 )
         return responses  # type: ignore[return-value]
 
     def stats(self) -> ServiceStats:
-        """A snapshot of the engine counters."""
-        plan_compiles = 0
-        scheduler = self._scheduler
-        estimator = getattr(scheduler, "estimator", None)
-        if estimator is not None:
-            plan_compiles = getattr(estimator, "plan_compiles", 0)
+        """A snapshot of the engine counters (safe to mutate)."""
+        estimator = getattr(self._scheduler, "estimator", None)
+        ladder = self._ladder
         return replace(
-            self._stats,
-            requests_by_priority=dict(self._stats.requests_by_priority),
-            wait_s_by_priority=dict(self._stats.wait_s_by_priority),
-            slo_ratios_by_priority={
-                priority: list(ratios)
-                for priority, ratios in (
-                    self._stats.slo_ratios_by_priority.items()
-                )
-            },
-            rejections_by_priority=dict(self._stats.rejections_by_priority),
-            preemptions_by_priority=dict(self._stats.preemptions_by_priority),
-            queued_by_priority=dict(self._stats.queued_by_priority),
-            estimator_plan_compiles=plan_compiles,
+            copy.deepcopy(self._stats),
+            estimator_plan_compiles=getattr(estimator, "plan_compiles", 0),
             cache_evictions=self._cache.evictions,
             cache_persisted=self._cache.persisted,
-            decisions_by_tier=dict(self._stats.decisions_by_tier),
-            tier_step_downs=(
-                self._ladder.step_downs if self._ladder is not None else 0
-            ),
-            tier_step_ups=(
-                self._ladder.step_ups if self._ladder is not None else 0
-            ),
-            tier_probes=(
-                self._ladder.probes if self._ladder is not None else 0
-            ),
+            tier_step_downs=ladder.step_downs if ladder is not None else 0,
+            tier_step_ups=ladder.step_ups if ladder is not None else 0,
+            tier_probes=ladder.probes if ladder is not None else 0,
         )
 
     def run_trace(
@@ -755,17 +687,21 @@ class SchedulingEngine:
 
     def stage_trace_event(
         self, online_scheduler: OnlineScheduler, event: ArrivalEvent
-    ) -> _TraceJob:
+    ) -> _Job:
         """Fold one event into the tenancy and stage its re-planning job."""
         online_scheduler.apply(event)
-        return _TraceJob(
-            event=event, workload=online_scheduler.current_workload()
+        workload = online_scheduler.current_workload()
+        return _Job(
+            workload=workload,
+            steps=lambda job: online_scheduler.plan_steps(job.workload),
+            objective=online_scheduler.scheduler.objective,
+            event=event,
         )
 
     def replay_group(
         self,
         online_scheduler: OnlineScheduler,
-        jobs: List[_TraceJob],
+        jobs: List[_Job],
         start_index: int,
         record_mappings: bool = False,
     ) -> List[TimelineRecord]:
@@ -777,13 +713,18 @@ class SchedulingEngine:
         ``start_index``).
         """
         scheduler = self._scheduler_instance()
-        tier = self._resilient_drive(
-            scheduler, online_scheduler, jobs, kind="trace"
-        )
+        started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
+        for job in jobs:
+            job.started = started
+        tier = self._resilient_drive(scheduler, jobs)
         committed = None
         records: List[TimelineRecord] = []
         index = start_index
         for job in jobs:
+            if isinstance(job.outcome, ScheduleDecision):
+                job.outcome = OnlineDecision(
+                    decision=job.outcome, workload=job.workload, mode="greedy"
+                )
             if job.outcome is not None:
                 committed = job.outcome
             records.append(
@@ -805,45 +746,34 @@ class SchedulingEngine:
     # Degradation ladder (resilient pooled driving)
     # ------------------------------------------------------------------
     def _resilient_drive(
-        self,
-        scheduler: Scheduler,
-        online_scheduler: Optional[OnlineScheduler],
-        jobs: List,
-        kind: str,
+        self, scheduler: Scheduler, jobs: List[_Job]
     ) -> str:
         """Run one pooled drive under the degradation ladder.
 
         Without a :class:`~repro.resilience.ResiliencePolicy` this is a
-        straight call into the historical drive loop — byte-identical
-        behaviour.  With one, a drive that dies with a typed fault
+        straight call into :meth:`_drive` — byte-identical behaviour.
+        With one, a drive that dies with a typed fault
         (:class:`~repro.estimator.model.EstimatorFault` /
         :class:`~repro.nn.inference.PlanExecutionError`) is counted,
         stepped down, and *retried from scratch* at the new tier — the
         coroutines are recreated deterministically, so the retry is a
         pure function of the tier.  The greedy floor cannot fault, so
-        every request is always answered.  Returns the tier that
-        produced the decisions, ``""`` for the healthy top tier.
+        every job is always answered.  Returns the tier that produced
+        the decisions, ``""`` for the healthy top tier.
         """
         if self._ladder is None:
-            if kind == "search":
-                self._drive_pooled(scheduler, jobs)
-            else:
-                self._drive_trace_jobs(scheduler, online_scheduler, jobs)
+            self._drive(scheduler, jobs)
             return ""
         estimator = getattr(scheduler, "estimator", None)
-        decisions = (
-            len(jobs)
-            if kind == "search"
-            else sum(1 for job in jobs if job.workload is not None)
-        )
+        decisions = sum(1 for job in jobs if job.workload is not None)
         while True:
             tier = self._ladder.begin_attempt()
             try:
                 if tier == "greedy":
-                    if kind == "search":
-                        self._greedy_search_jobs(jobs)
-                    else:
-                        self._greedy_trace_jobs(jobs)
+                    for job in jobs:
+                        if job.workload is not None:
+                            job.outcome = self._greedy_decision(job.workload)
+                            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of per-job latency
                 else:
                     saved = None
                     if estimator is not None and tier == "interpreter":
@@ -851,12 +781,7 @@ class SchedulingEngine:
                         estimator.use_compiled = False
                     self._active_tier = tier
                     try:
-                        if kind == "search":
-                            self._drive_pooled(scheduler, jobs)
-                        else:
-                            self._drive_trace_jobs(
-                                scheduler, online_scheduler, jobs
-                            )
+                        self._drive(scheduler, jobs)
                     finally:
                         self._active_tier = ""
                         if saved is not None:
@@ -864,10 +789,10 @@ class SchedulingEngine:
             except (EstimatorFault, PlanExecutionError):
                 self._stats.faults_detected += 1
                 self._ladder.record_fault()
-                if kind == "search":
-                    self._reset_search_jobs(jobs)
-                else:
-                    self._reset_trace_jobs(jobs)
+                for job in jobs:  # rewind so the next tier starts over
+                    job.gen = job.pending = job.outcome = None
+                    job.pruned = False
+                    job.full_scores = job.proxy_scores = None
                 continue
             self._ladder.complete_attempt(decisions)
             if tier == TIERS[0]:
@@ -946,168 +871,136 @@ class SchedulingEngine:
             },
         )
 
-    def _greedy_search_jobs(self, jobs: List[_SearchJob]) -> None:
-        for job in jobs:
-            job.decision = self._greedy_decision(job.request.workload)
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of per-request latency
-
-    def _greedy_trace_jobs(self, jobs: List[_TraceJob]) -> None:
-        for job in jobs:
-            job.started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-            if job.workload is None:
-                continue  # board emptied: idle event, nothing to place
-            decision = self._greedy_decision(job.workload)
-            job.outcome = OnlineDecision(
-                decision=decision, workload=job.workload, mode="greedy"
-            )
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-
-    @staticmethod
-    def _reset_search_jobs(jobs: List[_SearchJob]) -> None:
-        """Rewind faulted searches so the next tier retries from scratch."""
-        for job in jobs:
-            job.gen = None
-            job.pending = None
-            job.result = None
-            job.decision = None
-            job.pruned = False
-            job.full_scores = None
-            job.proxy_scores = None
-
-    @staticmethod
-    def _reset_trace_jobs(jobs: List[_TraceJob]) -> None:
-        for job in jobs:
-            job.gen = None
-            job.pending = None
-            job.pending_workload = None
-            job.outcome = None
-
     # ------------------------------------------------------------------
-    # Pooled concurrent search
+    # The pooled drive
     # ------------------------------------------------------------------
-    def _drive_pooled(
-        self, scheduler: OmniBoostScheduler, jobs: List[_SearchJob]
-    ) -> None:
-        """Advance every job's search, pooling leaf evaluations.
+    def _drive(self, scheduler: OmniBoostScheduler, jobs: List[_Job]) -> None:
+        """Advance every job's coroutine, pooling their evaluations.
 
-        Each round collects the open micro-batches of all searches
-        still waiting on rewards, prices them in ONE
-        ``predict_throughput_batch`` call, and feeds each search its
-        slice.  Per-search cadence, reward values and trajectories are
-        identical to running the searches one at a time (see the
-        module docstring for why).
+        Each round collects the open ``(workload, mappings)`` requests
+        of all jobs still waiting on rewards, prices them in ONE
+        ``predict_throughput_batch`` call, and sends each job its
+        slice.  Per-job cadence, reward values and trajectories are
+        identical to running the jobs one at a time (see the module
+        docstring for why).  Pruned searches are certified after the
+        last round, one full forward each.
         """
         estimator = scheduler.estimator
-        prune = self._fast_path_active()
-        student = self._student_instance(estimator) if prune else None
         for job in jobs:
-            config = scheduler.request_config(job.request)
-            job_objective = (
-                job.request.objective
-                if job.request.objective is not None
-                else scheduler.objective
-            )
-            if prune and job_objective is None:
-                # The fast path ranks within rollout micro-batches; at
-                # the default eval_batch_size=1 there is nothing to
-                # rank, so the policy widens the batch — and multiplies
-                # the candidate budget, spending the full forwards it
-                # saves on a much wider search (student forwards are
-                # ~free).  Only when this job will actually prune: a
-                # degraded-tier retry or an objective-scored request
-                # (which the student cannot rank) falls back to the
-                # exact default search, which would otherwise pay the
-                # widened budget in full forwards.
-                config = replace(
-                    config,
-                    eval_batch_size=max(
-                        config.eval_batch_size, self.fast_path.eval_batch_size
-                    ),
-                    budget=config.budget * self.fast_path.explore_factor,
-                )
-            search = scheduler.make_search(
-                job.request.workload,
-                config=config,
-                objective=job.request.objective,
-            )
-            job.gen = search.search_steps()
-            job.full_scores = {} if prune else None
-            job.proxy_scores = {} if prune else None
-            self._advance(job, first=True)
-
+            if job.workload is not None:
+                job.gen = job.steps(job)
+                self._advance(job)
         while True:
             waiting = [job for job in jobs if job.pending is not None]
             if not waiting:
                 break
-            # Per-job candidate selection: pruning ranks only within a
-            # job's own micro-batch, never across the pool — otherwise
-            # a decision would depend on which other requests share the
-            # batch, breaking the pooled == sequential contract.
-            rounds = []
-            pooled_pairs: List[Tuple[Workload, Mapping]] = []
+            pairs = [
+                (workload, mapping)
+                for workload, mappings in (job.pending for job in waiting)
+                for mapping in mappings
+            ]
+            rows = self._evaluate_pairs(estimator, pairs)
+            self._stats.pooled_eval_batches += 1
+            self._stats.pooled_evaluations += len(pairs)
+            offset = 0
             for job in waiting:
-                workload = job.request.workload
-                # Same fallback as make_search: a request override wins,
-                # else the scheduler's configured objective applies.
-                objective = (
-                    job.request.objective
-                    if job.request.objective is not None
-                    else scheduler.objective
+                workload, mappings = job.pending
+                rewards = scheduler.reward_from_predictions(
+                    workload,
+                    mappings,
+                    rows[offset : offset + len(mappings)],
+                    job.objective,
                 )
-                mappings = job.pending
+                offset += len(mappings)
+                self._advance(job, rewards)
+        self._certify_pruned_jobs(scheduler, estimator, jobs)
+
+    @staticmethod
+    def _advance(job: _Job, rewards: Optional[List[float]] = None) -> None:
+        """Step one job's coroutine to its next yield (or completion)."""
+        try:
+            job.pending = job.gen.send(rewards)
+        except StopIteration as stop:
+            job.pending = None
+            job.outcome = stop.value
+            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of per-job latency
+
+    def _search_steps(self, scheduler: OmniBoostScheduler, job: _Job):
+        """A request's MCTS search as a job coroutine.
+
+        :meth:`~repro.online.OnlineScheduler._relay` adapts
+        ``search_steps()`` to the ``(workload, mappings)`` protocol;
+        on the healthy tiers a fast-path policy puts :meth:`_pruned`
+        in front of every mean-throughput search.
+        """
+        workload = job.workload
+        config = scheduler.request_config(job.request)
+        prune = self._fast_path_active() and job.objective is None
+        if prune:
+            # The fast path ranks within rollout micro-batches; at the
+            # default eval_batch_size=1 there is nothing to rank, so
+            # the policy widens the batch — and multiplies the
+            # candidate budget, spending the full forwards it saves on
+            # a much wider search (student forwards are ~free).  Only
+            # when this job will actually prune: a degraded-tier retry
+            # or an objective-scored request (which the student cannot
+            # rank) keeps the exact default search, which would
+            # otherwise pay the widened budget in full forwards.
+            config = replace(
+                config,
+                eval_batch_size=max(
+                    config.eval_batch_size, self.fast_path.eval_batch_size
+                ),
+                budget=config.budget * self.fast_path.explore_factor,
+            )
+        search = scheduler.make_search(
+            workload, config=config, objective=job.objective
+        )
+        steps = OnlineScheduler._relay(workload, search.search_steps())
+        return self._pruned(scheduler, job, steps) if prune else steps
+
+    def _pruned(self, scheduler: OmniBoostScheduler, job: _Job, steps):
+        """The distilled fast path, in front of one search's coroutine.
+
+        Each micro-batch the search yields is ranked by the student and
+        only the top ``keep_count`` survivors are yielded on for
+        full-estimator rewards.  Ranking stays within this job's own
+        micro-batch, never across the pool — otherwise a decision
+        would depend on which other requests share the drive, breaking
+        the pooled == sequential contract.  The search gets the
+        survivors' full rewards back, and the student's centered score
+        for every pruned candidate, calibrated onto the reward scale
+        with the survivors as anchors (the student only predicts
+        within-batch deviations — see its docstring).  The job keeps
+        the certification material: full rewards, proxy rewards and
+        the full forwards paid.
+        """
+        student = self._student_instance(scheduler.estimator)
+        job.full_scores, job.proxy_scores = {}, {}
+        try:
+            workload, mappings = next(steps)
+            while True:
+                keep = self.fast_path.keep_count(len(mappings))
+                survivors = list(range(len(mappings)))
                 proxy = None
-                # Exact mode for objective-scored requests: the student
-                # ranks the paper's mean-throughput reward, and an
-                # explicit objective may order candidates differently.
-                keep = (
-                    self.fast_path.keep_count(len(mappings))
-                    if student is not None and objective is None
-                    else len(mappings)
-                )
                 if keep < len(mappings):
                     proxy = student.score_candidates(workload, mappings)
                     self._stats.distilled_queries += len(mappings)
-                    ranked = sorted(
-                        range(len(mappings)),
-                        key=lambda i: (-proxy[i], i),
-                    )
+                    ranked = sorted(survivors, key=lambda i: (-proxy[i], i))
                     survivors = sorted(ranked[:keep])
                     self._stats.distilled_pruned += len(mappings) - keep
                     job.pruned = True
-                else:
-                    survivors = list(range(len(mappings)))
-                rounds.append((job, objective, mappings, proxy, survivors))
-                pooled_pairs.extend(
-                    (workload, mappings[i]) for i in survivors
-                )
-            rows = self._evaluate_pairs(estimator, pooled_pairs)
-            self._stats.pooled_eval_batches += 1
-            self._stats.pooled_evaluations += len(pooled_pairs)
-            offset = 0
-            for job, objective, mappings, proxy, survivors in rounds:
-                count = len(survivors)
-                slice_rows = rows[offset : offset + count]
-                offset += count
-                job.full_forwards += count
                 kept = [mappings[i] for i in survivors]
-                full_rewards = scheduler.reward_from_predictions(
-                    job.request.workload, kept, slice_rows, objective
-                )
-                if proxy is None:
-                    rewards = list(full_rewards)
-                else:
-                    # Survivors back up their full-estimator reward;
-                    # pruned candidates back up the student's centered
-                    # score, calibrated onto the reward scale with the
-                    # survivors as anchors (the student only predicts
-                    # within-batch deviations — see its docstring).
-                    scale = student.reward_scale
+                full_rewards = yield workload, kept
+                job.full_forwards += len(kept)
+                for mapping, reward in zip(kept, full_rewards):
+                    job.full_scores[mapping] = float(reward)
+                rewards = list(full_rewards)
+                if proxy is not None:
                     anchor = sum(full_rewards) / len(full_rewards)
-                    surv_mean = float(
-                        np.mean([proxy[i] for i in survivors])
-                    )
+                    surv_mean = float(np.mean([proxy[i] for i in survivors]))
                     rewards = [
-                        anchor + scale * (float(p) - surv_mean)
+                        anchor + student.reward_scale * (float(p) - surv_mean)
                         for p in proxy
                     ]
                     for index, reward in zip(survivors, full_rewards):
@@ -1116,19 +1009,15 @@ class SchedulingEngine:
                     for i, mapping in enumerate(mappings):
                         if i not in cut:
                             job.proxy_scores[mapping] = rewards[i]
-                if job.full_scores is not None:
-                    for mapping, reward in zip(kept, full_rewards):
-                        job.full_scores[mapping] = float(reward)
-                self._advance(job, rewards=rewards)
-
-        if prune:
-            self._certify_pruned_jobs(scheduler, estimator, jobs)
+                workload, mappings = steps.send(rewards)
+        except StopIteration as stop:
+            return stop.value
 
     def _certify_pruned_jobs(
         self,
         scheduler: OmniBoostScheduler,
         estimator,
-        jobs: List[_SearchJob],
+        jobs: List[_Job],
     ) -> None:
         """Enforce the fast-path contract on every pruned search.
 
@@ -1141,15 +1030,10 @@ class SchedulingEngine:
         the served mapping's score, and never a score downgrade.
         """
         for job in jobs:
-            if job.result is None or not job.pruned:
+            if not job.pruned:
                 continue
-            workload = job.request.workload
-            objective = (
-                job.request.objective
-                if job.request.objective is not None
-                else scheduler.objective
-            )
-            chosen = job.result.mapping
+            result = job.outcome
+            chosen = result.mapping
             recertify = [
                 mapping
                 for mapping in sorted(
@@ -1165,121 +1049,50 @@ class SchedulingEngine:
                 job.full_forwards += len(recertify)
                 rows = self._evaluate_pairs(
                     estimator,
-                    [(workload, mapping) for mapping in recertify],
+                    [(job.workload, mapping) for mapping in recertify],
                 )
                 rewards = scheduler.reward_from_predictions(
-                    workload, recertify, rows, objective
+                    job.workload, recertify, rows, job.objective
                 )
                 for mapping, reward in zip(recertify, rewards):
                     job.full_scores[mapping] = float(reward)
-            full = job.full_scores[chosen]
-            best_mapping, best_reward = chosen, full
+            best_mapping, best_reward = chosen, job.full_scores[chosen]
             for mapping, reward in job.full_scores.items():
                 if reward > best_reward:
                     best_mapping, best_reward = mapping, reward
-            if best_mapping is not chosen or best_reward != job.result.reward:
-                job.result = replace(
-                    job.result, mapping=best_mapping, reward=best_reward
+            if best_mapping is not chosen or best_reward != result.reward:
+                job.outcome = replace(
+                    result, mapping=best_mapping, reward=best_reward
                 )
-
-    def _drive_trace_jobs(
-        self,
-        scheduler: OmniBoostScheduler,
-        online_scheduler: OnlineScheduler,
-        jobs: List[_TraceJob],
-    ) -> None:
-        """Drive a coalesced group's re-planning coroutines together.
-
-        The same pooling loop as :meth:`_drive_pooled`, over
-        :meth:`~repro.online.OnlineScheduler.plan_steps` coroutines
-        (whose yields carry their own workload, since each event in
-        the group plans a different mix).
-        """
-        estimator = scheduler.estimator
-        for job in jobs:
-            job.started = time.perf_counter()  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
-            if job.workload is None:
-                continue  # board emptied: idle event, nothing to plan
-            job.gen = online_scheduler.plan_steps(job.workload)
-            self._advance_trace(job, first=True)
-        while True:
-            waiting = [job for job in jobs if job.pending is not None]
-            if not waiting:
-                break
-            pairs = [
-                (job.pending_workload, mapping)
-                for job in waiting
-                for mapping in job.pending
-            ]
-            rows = self._evaluate_pairs(estimator, pairs)
-            self._stats.pooled_eval_batches += 1
-            self._stats.pooled_evaluations += len(pairs)
-            offset = 0
-            for job in waiting:
-                count = len(job.pending)
-                slice_rows = rows[offset : offset + count]
-                offset += count
-                rewards = scheduler.reward_from_predictions(
-                    job.pending_workload,
-                    job.pending,
-                    slice_rows,
-                    scheduler.objective,
-                )
-                self._advance_trace(job, rewards=rewards)
-
-    @staticmethod
-    def _advance_trace(
-        job: _TraceJob,
-        rewards: Optional[List[float]] = None,
-        first: bool = False,
-    ) -> None:
-        """Step one plan coroutine to its next yield (or completion)."""
-        try:
-            if first:
-                request = next(job.gen)
-            else:
-                request = job.gen.send(rewards)
-            job.pending_workload, job.pending = request
-        except StopIteration as stop:
-            job.pending = None
-            job.pending_workload = None
-            job.outcome = stop.value
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
 
     def _trace_record(
         self,
         index: int,
-        job: _TraceJob,
+        job: _Job,
         record_mappings: bool,
         tier: str = "",
     ) -> TimelineRecord:
         """Render one trace job as a timeline record."""
         event = job.event
-        active = (
-            job.workload.model_names if job.workload is not None else ()
-        )
-        outcome = job.outcome
-        if outcome is None:
-            return TimelineRecord(
-                index=index,
-                time_s=event.time_s,
-                kind=event.kind,
-                tenant_id=event.tenant_id,
-                model=event.model,
-                priority=event.priority,
-                active_models=tuple(active),
-                mode="idle",
-                board=self.board,
-            )
-        cost = outcome.decision.cost
-        return TimelineRecord(
+        record = TimelineRecord(
             index=index,
             time_s=event.time_s,
             kind=event.kind,
             tenant_id=event.tenant_id,
             model=event.model,
             priority=event.priority,
-            active_models=tuple(active),
+            active_models=tuple(
+                job.workload.model_names if job.workload is not None else ()
+            ),
+            mode="idle",
+            board=self.board,
+        )
+        outcome = job.outcome
+        if outcome is None:
+            return record
+        cost = outcome.decision.cost
+        return replace(
+            record,
             mode=outcome.mode,
             expected_score=outcome.expected_score,
             seed_reward=outcome.seed_reward,
@@ -1298,26 +1111,8 @@ class SchedulingEngine:
                 if record_mappings
                 else None
             ),
-            board=self.board,
             tier=tier,
         )
-
-    @staticmethod
-    def _advance(
-        job: _SearchJob,
-        rewards: Optional[List[float]] = None,
-        first: bool = False,
-    ) -> None:
-        """Step one search coroutine to its next yield (or completion)."""
-        try:
-            if first:
-                job.pending = next(job.gen)
-            else:
-                job.pending = job.gen.send(rewards)
-        except StopIteration as stop:
-            job.pending = None
-            job.result = stop.value
-            job.elapsed = time.perf_counter() - job.started  # repro: lint-ignore[RPR002] -- host measurement of trace-step latency
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -33,8 +33,9 @@ was near zero because mix identity dominates the MSE):
   held-out mixes support it.
 
 The contract that keeps this an optimization rather than an accuracy
-trade (enforced in :meth:`repro.engine.SchedulingEngine._drive_pooled`
-and pinned in ``tests/test_distill.py``):
+trade (enforced by the engine's fast-path adapter,
+:meth:`repro.engine.SchedulingEngine._pruned`, and its certification
+step, and pinned in ``tests/test_distill.py``):
 
 * the **final chosen mapping's score always comes from the full
   estimator** -- the engine re-certifies the search's pick and swaps

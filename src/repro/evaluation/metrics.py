@@ -2,12 +2,15 @@
 
 The paper's headline metric is the mix-average throughput
 ``T = (1/M) * sum_i INF_i/sec`` and everything in Fig. 5 is reported
-*normalized* to the GPU-only baseline of the same mix.
+*normalized* to the GPU-only baseline of the same mix.  The SLO
+layer's attainment percentiles (:func:`attainment_percentiles`) live
+here too, so the timeline report and the autoscaler's sliding window
+share one order statistic.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -16,6 +19,7 @@ __all__ = [
     "normalized",
     "speedup",
     "geometric_mean",
+    "attainment_percentiles",
 ]
 
 
@@ -49,3 +53,27 @@ def geometric_mean(values: Sequence[float]) -> float:
     if (values <= 0).any():
         raise ValueError("geometric mean requires positive values")
     return float(np.exp(np.log(values).mean()))
+
+
+def attainment_percentiles(
+    ratios: Iterable[float], percentiles: Sequence[int]
+) -> Dict[int, float]:
+    """pP attainment: the worst ratio among the best P% of outcomes.
+
+    Exact order statistics, no interpolation: ``p95 >= 1.0`` means 95%
+    of the outcomes met their floor.  The rank ``ceil(P * n / 100)`` is
+    computed in integers, because the float expression lands one rank
+    too deep for some P and n (P=7, n=100 gives 7.000000000000001).
+    Empty when there are no ratios.
+    """
+    ordered = sorted(ratios, reverse=True)
+    result: Dict[int, float] = {}
+    for percentile in percentiles:
+        if not 0 < percentile <= 100:
+            raise ValueError(
+                f"percentiles must be in (0, 100], got {percentile}"
+            )
+        if ordered:
+            rank = -(-percentile * len(ordered) // 100)
+            result[percentile] = ordered[rank - 1]
+    return result

@@ -13,10 +13,10 @@ analysis.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .metrics import attainment_percentiles
 from .reporting import format_table
 
 __all__ = [
@@ -327,27 +327,14 @@ class TimelineReport:
         values are deterministic for seeded replays.  Empty when no
         record carries an annotation (or none matches ``priority``).
         """
-        ratios = sorted(
+        return attainment_percentiles(
             (
                 r.slo_ratio
                 for r in self.slo_records
                 if priority is None or r.priority == priority
             ),
-            reverse=True,
+            percentiles,
         )
-        if not ratios:
-            return {}
-        result: Dict[int, float] = {}
-        for percentile in percentiles:
-            if not 0 < percentile <= 100:
-                raise ValueError(
-                    f"percentiles must be in (0, 100], got {percentile}"
-                )
-            rank = min(
-                len(ratios), max(1, math.ceil(percentile / 100 * len(ratios)))
-            )
-            result[percentile] = ratios[rank - 1]
-        return result
 
     def per_priority_latency(self) -> Dict[int, float]:
         """Mean re-schedule latency (seconds) per event priority."""

@@ -267,7 +267,7 @@ class FleetStats:
         """Every board's :class:`ServiceStats` summed into one view.
 
         The rollup covers every per-priority counter — request counts,
-        waits, SLO ratios, rejections, preemptions, queue deferrals —
+        waits, SLO attainment, rejections, preemptions, queue deferrals —
         plus the fleet-level admission actions (which have no board to
         live on), so ``combined`` is the one place per-priority
         service levels are complete.  Boards retired mid-trace
@@ -277,16 +277,15 @@ class FleetStats:
         ``tests/test_fleet_elastic.py``).
         """
         total = ServiceStats()
-        for stats in self.per_board.values():
-            total.absorb(stats)
-        for stats in self.retired_boards.values():
-            total.absorb(stats)
-        for source, sink in (
-            (self.rejections_by_priority, total.rejections_by_priority),
-            (self.queued_by_priority, total.queued_by_priority),
+        for stats in (
+            *self.per_board.values(),
+            *self.retired_boards.values(),
+            ServiceStats(
+                rejections_by_priority=self.rejections_by_priority,
+                queued_by_priority=self.queued_by_priority,
+            ),
         ):
-            for priority, count in source.items():
-                sink[priority] = sink.get(priority, 0) + count
+            total.absorb(stats)
         return total
 
     def summary(self) -> str:
@@ -1413,9 +1412,7 @@ class FleetService:
         attained = target.attained(
             record.expected_score, record.reschedule_time_s
         )
-        self._engines[board]._stats.record_slo(
-            record.priority, ratio, attained
-        )
+        self._engines[board]._stats.record_slo(attained)
         return replace(record, slo_ratio=ratio, slo_attained=attained)
 
     def _route_event(self, event: ArrivalEvent) -> str:

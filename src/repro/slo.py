@@ -54,6 +54,7 @@ from typing import (
 
 from .core.base import SLOTarget
 from .estimator.model import EstimatorFault
+from .evaluation.metrics import attainment_percentiles
 from .sim.mapping import Mapping
 from .workloads.mix import Workload, canonical_signature
 
@@ -342,9 +343,10 @@ class AttainmentTracker:
     window (newest ``window`` observations) keeps the signal recent —
     an early healthy phase must not mask a later squeeze.
 
-    Percentile semantics match the report exactly (exact order
-    statistics, no interpolation): ``percentile(95)`` is the worst
-    ratio among the best 95% of windowed outcomes.
+    Percentile semantics match the report exactly — both call
+    :func:`~repro.evaluation.metrics.attainment_percentiles`:
+    ``percentile(95)`` is the worst ratio among the best 95% of
+    windowed outcomes.
     """
 
     def __init__(self, window: int = 32) -> None:
@@ -372,15 +374,6 @@ class AttainmentTracker:
 
     def percentile(self, percentile: int = 95) -> Optional[float]:
         """pP attainment over the window (``None`` while empty)."""
-        if not 0 < percentile <= 100:
-            raise ValueError(
-                f"percentile must be in (0, 100], got {percentile}"
-            )
-        if not self._ratios:
-            return None
-        ordered = sorted(self._ratios, reverse=True)
-        rank = min(
-            len(ordered),
-            max(1, -(-percentile * len(ordered) // 100)),
+        return attainment_percentiles(self._ratios, (percentile,)).get(
+            percentile
         )
-        return ordered[rank - 1]

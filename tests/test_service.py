@@ -6,6 +6,7 @@ sequential per-request loop on an identically configured service, and
 the repeated mixes produce a nonzero decision-cache hit rate.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.builder import SystemBuilder
 from repro.core import MCTSConfig, ScheduleRequest, ScheduleResponse
 from repro.core.base import ScheduleDecision, Scheduler
-from repro.service import SchedulingService
+from repro.service import SchedulingService, ServiceStats
 from repro.sim import Mapping
 from repro.workloads import Workload
 
@@ -408,3 +409,28 @@ class TestPlumbing:
         response = service.submit(Workload.from_names(["alexnet", "mobilenet"]))
         assert isinstance(response, ScheduleResponse)
         assert response.scheduler_name == "OmniBoost"
+
+
+class TestServiceStatsAbsorb:
+    def test_absorb_merges_every_field(self):
+        """Absorbing into an empty snapshot reproduces every field, and
+        absorbing again doubles it — no counter is left out."""
+        full = ServiceStats()
+        for value, spec in enumerate(dataclasses.fields(full), start=1):
+            current = getattr(full, spec.name)
+            if isinstance(current, dict):
+                key = "static" if spec.name == "decisions_by_tier" else 2
+                setattr(full, spec.name, {key: value})
+            else:
+                setattr(full, spec.name, type(current)(value))
+        total = ServiceStats()
+        total.absorb(full)
+        assert total == full
+        total.absorb(full)
+        for spec in dataclasses.fields(full):
+            once = getattr(full, spec.name)
+            twice = getattr(total, spec.name)
+            if isinstance(once, dict):
+                assert twice == {key: 2 * count for key, count in once.items()}
+            else:
+                assert twice == 2 * once, spec.name

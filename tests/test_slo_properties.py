@@ -33,10 +33,12 @@ import pytest
 from repro import SystemBuilder
 from repro.core import MCTSConfig, SLOTarget
 from repro.engine import SchedulingEngine
+from repro.evaluation import TimelineRecord, TimelineReport
 from repro.fleet import Cluster, FleetService
 from repro.models.registry import MODEL_NAMES
 from repro.slo import (
     AdmissionController,
+    AttainmentTracker,
     SLOPolicy,
     VERDICTS,
     make_estimator_scorer,
@@ -92,6 +94,37 @@ def _stable_stats(stats):
 # ----------------------------------------------------------------------
 # Contracts: SLOTarget / SLOPolicy value semantics
 # ----------------------------------------------------------------------
+class TestAttainmentPercentiles:
+    def test_report_and_tracker_rank_exactly(self):
+        """Over the ratios 1..100 the 7th-best is 94: a float rank
+        ``ceil(7 / 100 * 100)`` is 8 and would answer 93."""
+        ratios = [float(ratio) for ratio in range(1, 101)]
+        report = TimelineReport(
+            records=tuple(
+                TimelineRecord(
+                    index=index,
+                    time_s=float(index),
+                    kind="arrival",
+                    tenant_id=f"t{index}",
+                    model="alexnet",
+                    priority=0,
+                    active_models=("alexnet",),
+                    mode="cold",
+                    slo_ratio=ratio,
+                )
+                for index, ratio in enumerate(ratios)
+            )
+        )
+        tracker = AttainmentTracker(window=len(ratios))
+        for ratio in ratios:
+            tracker.observe(ratio)
+        for percentile, expected in ((7, 94.0), (50, 51.0), (95, 6.0)):
+            assert tracker.percentile(percentile) == expected
+            assert report.slo_attainment_percentiles((percentile,)) == {
+                percentile: expected
+            }
+
+
 class TestSLOTarget:
     def test_needs_at_least_one_bound(self):
         with pytest.raises(ValueError, match="floor and/or"):
@@ -310,9 +343,7 @@ class TestEnforcementOffIdentity:
         # Count-based stats identical; only the SLO accounting differs.
         stats_plain = _stable_stats(plain.stats())
         stats_obs = _stable_stats(observed.stats())
-        neutral = dict(
-            slo_requests=0, slo_attained=0, slo_ratios_by_priority={}
-        )
+        neutral = dict(slo_requests=0, slo_attained=0)
         assert dataclasses.replace(
             stats_obs, **neutral
         ) == dataclasses.replace(stats_plain, **neutral)
@@ -359,9 +390,7 @@ class TestEnforcementOffIdentity:
         ]
         combined_plain = _stable_stats(plain.stats().combined)
         combined_obs = _stable_stats(observed.stats().combined)
-        neutral = dict(
-            slo_requests=0, slo_attained=0, slo_ratios_by_priority={}
-        )
+        neutral = dict(slo_requests=0, slo_attained=0)
         assert dataclasses.replace(
             combined_obs, **neutral
         ) == dataclasses.replace(combined_plain, **neutral)
