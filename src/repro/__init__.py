@@ -101,7 +101,7 @@ from .workloads import (
     generate_trace,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AdmissionController",

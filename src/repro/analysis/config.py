@@ -140,8 +140,8 @@ DEFAULT_ALLOWLIST: Tuple[AllowlistEntry, ...] = (
         rule="RPR010",
         path="src/repro/frontdoor/cache.py",
         reason=(
-            "the bounded cache's own implementation: its per-shard "
-            "OrderedDicts evict at capacity and count what they evict"
+            "the bounded cache's own implementation: its OrderedDict "
+            "evicts at capacity and counts what it evicts"
         ),
     ),
 )

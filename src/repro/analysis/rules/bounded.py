@@ -1,12 +1,12 @@
 """RPR010 -- serving-path caches must be bounded.
 
-Doctrine (PR 10's sharded decision cache): a cache on the request
+Doctrine (the bounded decision cache): a cache on the request
 path is a memory leak with good intentions.  The engine's original
 decision cache was a bare dict -- every distinct mix ever served
 stayed resident forever, which is exactly wrong for a long-lived
 service ingesting an open-ended request stream.  The sanctioned
-container is :class:`repro.frontdoor.ShardedDecisionCache`: per-shard
-LRU with a capacity, eviction counters surfaced in ``ServiceStats``,
+container is :class:`repro.frontdoor.ShardedDecisionCache`: one LRU
+with a fixed capacity, eviction counters surfaced in ``ServiceStats``,
 and an optional persistence layer keyed on the estimator version.
 
 The check: in the serving-stack modules (engine, service, SLO, fleet,
@@ -15,7 +15,7 @@ front door), assigning a raw ``{}`` / ``dict()`` / ``[]`` / ``list()``
 attribute or variable is an unbounded cache by construction.  The one
 legitimate holder of raw dicts is the bounded cache's own
 implementation (``frontdoor/cache.py``), which is allowlisted -- its
-shards evict.
+LRU evicts.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class BoundedServingCaches(Rule):
     name = "bounded-serving-caches"
     doctrine = (
         "Serving-path modules may not hold unbounded dict/list caches; "
-        "use the bounded ShardedDecisionCache (LRU shards, eviction "
+        "use the bounded ShardedDecisionCache (one LRU, eviction "
         "counters, versioned persistence)."
     )
 

@@ -354,6 +354,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Label of counters that, after ``--resume``, cover only the groups
+#: the resuming process re-planned (the report covers the whole trace).
+_RESUMED_SCOPE = "(groups re-planned after resume)"
+
+
 def _cmd_serve_trace(args: argparse.Namespace) -> int:
     from .evaluation import write_timeline_json
     from .online import OnlineConfig
@@ -386,9 +391,10 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
     )
     print(report.event_table())
     print(f"\n{report.summary()}")
+    scope = f" {_RESUMED_SCOPE}" if args.resume else ""
     stats = service.stats()
     print(
-        f"service: {stats.trace_reschedules} re-schedules "
+        f"service{scope}: {stats.trace_reschedules} re-schedules "
         f"({stats.trace_warm_reschedules} warm), "
         f"{stats.pooled_eval_batches} pooled estimator batches, "
         f"{stats.estimator_queries_actual:.0f} estimator queries paid "
@@ -397,7 +403,7 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
     if stats.faults_detected or stats.degraded_decisions:
         tiers = dict(sorted(stats.decisions_by_tier.items()))
         print(
-            f"resilience: {stats.faults_detected} fault(s) detected, "
+            f"resilience{scope}: {stats.faults_detected} fault(s) detected, "
             f"{stats.cache_corruptions} cache corruption(s), "
             f"{stats.degraded_decisions} degraded decision(s) {tiers}, "
             f"{stats.tier_step_downs} step-down(s), "
@@ -406,7 +412,7 @@ def _cmd_serve_trace(args: argparse.Namespace) -> int:
         )
     if stats.slo_requests:
         print(
-            f"slo: {stats.slo_attained}/{stats.slo_requests} attained; "
+            f"slo{scope}: {stats.slo_attained}/{stats.slo_requests} attained; "
             f"rejections {stats.rejections_by_priority}, "
             f"queued {stats.queued_by_priority}, "
             f"preemptions {stats.preemptions_by_priority}"
@@ -628,7 +634,10 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
                 f"{report.scale_in_events} scale-in(s), "
                 f"{report.drained_events} drained"
             )
-        print(f"\n{service.stats().summary()}")
+        summary = service.stats().summary()
+        if args.resume:
+            summary = f"stats {_RESUMED_SCOPE}: {summary}"
+        print(f"\n{summary}")
         if args.report:
             write_timeline_json(report, args.report)
             print(f"timeline report written to {args.report}")

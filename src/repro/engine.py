@@ -92,7 +92,7 @@ class ServiceStats:
     cache_misses: int = 0
     cache_bypasses: int = 0
     #: Decision-cache bounds and persistence (PR 10): LRU entries
-    #: evicted past the shard capacity, and entries written to the
+    #: evicted past the cache capacity, and entries written to the
     #: on-disk snapshot — both filled at snapshot time from the
     #: :class:`~repro.frontdoor.cache.ShardedDecisionCache`, so the
     #: old unbounded-growth / silent-restart-drop failure modes are
@@ -239,9 +239,10 @@ class _Job:
     ``(workload, mappings)`` evaluation requests, takes their rewards
     via ``send()`` and returns the outcome — a search's
     :class:`~repro.core.mcts.MCTSResult` or a re-plan's
-    :class:`~repro.online.OnlineDecision`.  The ladder's greedy floor
-    answers with a :class:`ScheduleDecision` instead, and a faulted
-    drive calls ``steps(job)`` again to retry from scratch.
+    :class:`~repro.online.OnlineDecision`.  A certified fast-path
+    search (:meth:`SchedulingEngine._pruned`) and the ladder's greedy
+    floor answer with a :class:`ScheduleDecision` instead, and a
+    faulted drive calls ``steps(job)`` again to retry from scratch.
     """
 
     #: The mix to decide; ``None`` for an idle trace event (the board
@@ -273,22 +274,6 @@ class _Job:
     followers: List[Tuple[int, ScheduleRequest, float]] = field(default_factory=list)
     #: Trace jobs: the event this re-plan answers.
     event: Optional[ArrivalEvent] = None
-    #: Distilled fast path (:meth:`SchedulingEngine._pruned`): whether
-    #: any round of this search pruned candidates, and the
-    #: full-estimator rewards of every candidate that *did* reach the
-    #: full estimator — the certification set the final decision is
-    #: drawn from (the correctness contract).
-    pruned: bool = False
-    #: Full-estimator forwards this job actually paid (survivors plus
-    #: re-certification); replaces the search's own
-    #: ``estimator_queries_actual`` counter for pruned jobs, which
-    #: cannot see that most of its rewards were student proxies.
-    full_forwards: int = 0
-    full_scores: Optional[Dict[Mapping, float]] = None
-    #: Student proxy rewards of candidates whose full forward was
-    #: pruned — the recertification pool (best of them get one full
-    #: batch at certification time).
-    proxy_scores: Optional[Dict[Mapping, float]] = None
 
 
 class SchedulingEngine:
@@ -317,12 +302,11 @@ class SchedulingEngine:
         the deterministic fault injector).  ``None`` — the default —
         leaves every code path byte-identical to an engine built before
         the resilience layer existed.
-    cache_shards / cache_capacity:
-        Geometry of the bounded decision cache
-        (:class:`~repro.frontdoor.cache.ShardedDecisionCache`):
-        ``cache_shards`` LRU shards of ``cache_capacity`` entries each.
     cache_dir:
-        Directory for the persisted decision-cache snapshot; ``None``
+        Directory for the persisted snapshot of the bounded decision
+        cache (:class:`~repro.frontdoor.cache.ShardedDecisionCache`,
+        one LRU of :data:`~repro.frontdoor.cache.CACHE_CAPACITY`
+        entries); ``None``
         keeps the cache in-memory only.  Snapshots are keyed by the
         estimator's ``Module.version`` plus a weight digest, so a
         retrained/re-loaded estimator never serves stale decisions.
@@ -340,8 +324,6 @@ class SchedulingEngine:
         cache_decisions: bool = True,
         board: str = "",
         resilience: Optional[ResiliencePolicy] = None,
-        cache_shards: int = 4,
-        cache_capacity: int = 128,
         cache_dir: Optional[str] = None,
         fast_path: Optional[FastPathPolicy] = None,
     ) -> None:
@@ -360,11 +342,7 @@ class SchedulingEngine:
         self.cache_decisions = cache_decisions
         self.board = board
         self._scheduler: Optional[Scheduler] = None
-        self._cache = ShardedDecisionCache(
-            num_shards=cache_shards,
-            shard_capacity=cache_capacity,
-            cache_dir=cache_dir,
-        )
+        self._cache = ShardedDecisionCache(cache_dir=cache_dir)
         self.fast_path = fast_path
         self._student: Optional[DistilledEstimator] = None
         self._cache_token: Optional[Tuple[int, str]] = None
@@ -476,24 +454,10 @@ class SchedulingEngine:
             for job in jobs:
                 decision = job.outcome
                 if not isinstance(decision, ScheduleDecision):
-                    # A search result (the greedy floor answers with a
-                    # decision directly).
+                    # A search result (a certified fast-path search and
+                    # the greedy floor answer with a decision directly).
                     decision = scheduler.decision_from_result(
                         decision, int(decision.cache_misses)
-                    )
-                if job.pruned:
-                    # The search's own "actual" counter believes every
-                    # rollout reward was an estimator forward; for a
-                    # pruned job only the survivors (and the
-                    # certification batch) really paid one.
-                    decision = replace(
-                        decision,
-                        cost={
-                            **decision.cost,
-                            "estimator_queries_actual": float(
-                                job.full_forwards
-                            ),
-                        },
                     )
                 decision = replace(decision, wall_time_s=job.elapsed)
                 self._account(decision)
@@ -791,8 +755,6 @@ class SchedulingEngine:
                 self._ladder.record_fault()
                 for job in jobs:  # rewind so the next tier starts over
                     job.gen = job.pending = job.outcome = None
-                    job.pruned = False
-                    job.full_scores = job.proxy_scores = None
                 continue
             self._ladder.complete_attempt(decisions)
             if tier == TIERS[0]:
@@ -882,8 +844,7 @@ class SchedulingEngine:
         ``predict_throughput_batch`` call, and sends each job its
         slice.  Per-job cadence, reward values and trajectories are
         identical to running the jobs one at a time (see the module
-        docstring for why).  Pruned searches are certified after the
-        last round, one full forward each.
+        docstring for why).
         """
         estimator = scheduler.estimator
         for job in jobs:
@@ -913,7 +874,6 @@ class SchedulingEngine:
                 )
                 offset += len(mappings)
                 self._advance(job, rewards)
-        self._certify_pruned_jobs(scheduler, estimator, jobs)
 
     @staticmethod
     def _advance(job: _Job, rewards: Optional[List[float]] = None) -> None:
@@ -971,12 +931,24 @@ class SchedulingEngine:
         survivors' full rewards back, and the student's centered score
         for every pruned candidate, calibrated onto the reward scale
         with the survivors as anchors (the student only predicts
-        within-batch deviations — see its docstring).  The job keeps
-        the certification material: full rewards, proxy rewards and
-        the full forwards paid.
+        within-batch deviations — see its docstring).
+
+        A search that pruned anything is certified when it returns:
+        the served mapping's score always comes from the full
+        estimator.  One separate full forward, outside the pooled
+        rounds, scores the best ``recertify`` proxy-scored candidates
+        and — if it only ever carried a proxy — the search's pick; the
+        best *fully-scored* candidate is then served.  The student
+        therefore only decides evaluation order, never the served
+        score, and never a score downgrade.  The answer is a
+        :class:`ScheduleDecision` whose ``estimator_queries_actual`` is
+        the full forwards this attempt paid (the search's own counter
+        believes every reward was one).
         """
         student = self._student_instance(scheduler.estimator)
-        job.full_scores, job.proxy_scores = {}, {}
+        full_scores: Dict[Mapping, float] = {}
+        proxy_scores: Dict[Mapping, float] = {}
+        forwards = 0
         try:
             workload, mappings = next(steps)
             while True:
@@ -989,12 +961,11 @@ class SchedulingEngine:
                     ranked = sorted(survivors, key=lambda i: (-proxy[i], i))
                     survivors = sorted(ranked[:keep])
                     self._stats.distilled_pruned += len(mappings) - keep
-                    job.pruned = True
                 kept = [mappings[i] for i in survivors]
                 full_rewards = yield workload, kept
-                job.full_forwards += len(kept)
+                forwards += len(kept)
                 for mapping, reward in zip(kept, full_rewards):
-                    job.full_scores[mapping] = float(reward)
+                    full_scores[mapping] = float(reward)
                 rewards = list(full_rewards)
                 if proxy is not None:
                     anchor = sum(full_rewards) / len(full_rewards)
@@ -1008,62 +979,40 @@ class SchedulingEngine:
                     cut = set(survivors)
                     for i, mapping in enumerate(mappings):
                         if i not in cut:
-                            job.proxy_scores[mapping] = rewards[i]
+                            proxy_scores[mapping] = rewards[i]
                 workload, mappings = steps.send(rewards)
         except StopIteration as stop:
-            return stop.value
-
-    def _certify_pruned_jobs(
-        self,
-        scheduler: OmniBoostScheduler,
-        estimator,
-        jobs: List[_Job],
-    ) -> None:
-        """Enforce the fast-path contract on every pruned search.
-
-        The final chosen mapping's score always comes from the full
-        estimator: a search pick that only ever carried a student
-        proxy score is re-certified with one full forward, and if any
-        *fully-scored* candidate seen during the search beats the
-        pick's full score, that incumbent is served instead.  The
-        student therefore only ever decides evaluation order — never
-        the served mapping's score, and never a score downgrade.
-        """
-        for job in jobs:
-            if not job.pruned:
-                continue
-            result = job.outcome
-            chosen = result.mapping
-            recertify = [
-                mapping
-                for mapping in sorted(
-                    job.proxy_scores,
-                    key=job.proxy_scores.__getitem__,
-                    reverse=True,
-                )[: self.fast_path.recertify]
-                if mapping not in job.full_scores
-            ]
-            if chosen not in job.full_scores and chosen not in recertify:
-                recertify.append(chosen)
-            if recertify:
-                job.full_forwards += len(recertify)
-                rows = self._evaluate_pairs(
-                    estimator,
-                    [(job.workload, mapping) for mapping in recertify],
-                )
-                rewards = scheduler.reward_from_predictions(
-                    job.workload, recertify, rows, job.objective
-                )
-                for mapping, reward in zip(recertify, rewards):
-                    job.full_scores[mapping] = float(reward)
-            best_mapping, best_reward = chosen, job.full_scores[chosen]
-            for mapping, reward in job.full_scores.items():
-                if reward > best_reward:
-                    best_mapping, best_reward = mapping, reward
-            if best_mapping is not chosen or best_reward != result.reward:
-                job.outcome = replace(
-                    result, mapping=best_mapping, reward=best_reward
-                )
+            result = stop.value
+        if not proxy_scores:
+            return result  # nothing pruned: every reward was a full forward
+        chosen = result.mapping
+        recertify = [
+            mapping
+            for mapping in sorted(
+                proxy_scores, key=proxy_scores.__getitem__, reverse=True
+            )[: self.fast_path.recertify]
+            if mapping not in full_scores
+        ]
+        if chosen not in full_scores and chosen not in recertify:
+            recertify.append(chosen)
+        if recertify:
+            forwards += len(recertify)
+            rows = self._evaluate_pairs(
+                scheduler.estimator,
+                [(job.workload, mapping) for mapping in recertify],
+            )
+            rewards = scheduler.reward_from_predictions(
+                job.workload, recertify, rows, job.objective
+            )
+            for mapping, reward in zip(recertify, rewards):
+                full_scores[mapping] = float(reward)
+        best_mapping, best_reward = chosen, full_scores[chosen]
+        for mapping, reward in full_scores.items():
+            if reward > best_reward:
+                best_mapping, best_reward = mapping, reward
+        return scheduler.decision_from_result(
+            replace(result, mapping=best_mapping, reward=best_reward), forwards
+        )
 
     def _trace_record(
         self,

@@ -34,8 +34,9 @@ was near zero because mix identity dominates the MSE):
 
 The contract that keeps this an optimization rather than an accuracy
 trade (enforced by the engine's fast-path adapter,
-:meth:`repro.engine.SchedulingEngine._pruned`, and its certification
-step, and pinned in ``tests/test_distill.py``):
+:meth:`repro.engine.SchedulingEngine._pruned`, which certifies each
+search's answer when it returns, and pinned in
+``tests/test_distill.py``):
 
 * the **final chosen mapping's score always comes from the full
   estimator** -- the engine re-certifies the search's pick and swaps
@@ -198,9 +199,6 @@ class DistilledEstimator:
     def is_stale(self, teacher) -> bool:
         """True when the teacher's weights moved since distillation."""
         return int(teacher.network.version) != self.teacher_version
-
-    def reset_query_count(self) -> None:
-        self.query_count = 0
 
     # ------------------------------------------------------------------
     def _features(

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.scheduler import OmniBoostScheduler
 from ..estimator.model import EstimatorFault
-from ..sim.mapping import Mapping
+from ..sim.mapping import reference_mapping
 from ..workloads.mix import Workload
 
 __all__ = ["BoardPlacement", "FleetPlacer", "PlacementError"]
@@ -70,22 +70,6 @@ class BoardPlacement:
     board: str
     indices: Tuple[int, ...]
     workload: Workload
-
-
-def reference_mapping(workload: Workload, num_devices: int) -> Mapping:
-    """The deterministic scoring mapping: DNNs striped whole across devices.
-
-    Single-device rows are always legal (one stage per DNN <= any
-    stage cap), and striping is the cheapest proxy for "this board's
-    devices share the mix" — good enough to rank boards, three orders
-    of magnitude cheaper than searching each candidate.
-    """
-    return Mapping(
-        [
-            (index % num_devices,) * model.num_layers
-            for index, model in enumerate(workload.models)
-        ]
-    )
 
 
 class FleetPlacer:

@@ -359,9 +359,6 @@ class FleetService:
         degradation ladder and fault injector (fault call counts are
         per board, matching each board's private estimator).  ``None``
         keeps every path byte-identical to the pre-resilience fleet.
-    cache_shards / cache_capacity:
-        Per-board decision-cache geometry (forwarded to every engine's
-        :class:`~repro.frontdoor.cache.ShardedDecisionCache`).
     cache_dir:
         Root directory for persisted decision caches; each board
         snapshots under ``<cache_dir>/<board name>/`` so a restarted
@@ -381,8 +378,6 @@ class FleetService:
         placement: str = "estimator",
         slo: Optional[SLOPolicy] = None,
         resilience: Optional[ResiliencePolicy] = None,
-        cache_shards: int = 4,
-        cache_capacity: int = 128,
         cache_dir: Optional[str] = None,
         fast_path: Optional["FastPathPolicy"] = None,
     ) -> None:
@@ -393,8 +388,6 @@ class FleetService:
         self.cluster = cluster
         self.scheduler_name = scheduler.strip().lower()
         self._cache_decisions = cache_decisions
-        self._cache_shards = cache_shards
-        self._cache_capacity = cache_capacity
         self._cache_dir = cache_dir
         self.fast_path = fast_path
         self.resilience = resilience
@@ -651,8 +644,6 @@ class FleetService:
             cache_decisions=self._cache_decisions,
             board=board.name,
             resilience=self.resilience,
-            cache_shards=self._cache_shards,
-            cache_capacity=self._cache_capacity,
             cache_dir=(
                 os.path.join(self._cache_dir, board.name)
                 if self._cache_dir is not None

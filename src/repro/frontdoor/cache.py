@@ -1,18 +1,14 @@
-"""Bounded, sharded, restart-surviving decision cache.
+"""Bounded, restart-surviving decision cache.
 
-The engine's decision cache started life (PR 2) as a process-local
-``dict`` -- unbounded across long traces and silently dropped on every
+The engine's decision cache started life as a process-local ``dict``
+-- unbounded across long traces and silently dropped on every
 restart.  :class:`ShardedDecisionCache` replaces it with the same
-mapping semantics behind three additional properties:
+mapping semantics behind two additional properties:
 
-* **bounded**: entries live in per-shard LRU stores
-  (``num_shards x shard_capacity``); inserting past capacity evicts
-  the least-recently-used entry of that shard and counts it
+* **bounded**: entries live in one LRU store of
+  :data:`CACHE_CAPACITY` entries; inserting past capacity evicts the
+  least-recently-used entry and counts it
   (``evictions`` -> :attr:`~repro.engine.ServiceStats.cache_evictions`);
-* **sharded deterministically**: the shard index is
-  ``crc32(key) % num_shards`` -- *never* the builtin ``hash()``, whose
-  ``PYTHONHASHSEED`` salting would scatter the same key to different
-  shards across processes and break replay determinism;
 * **persistent**: when constructed with a ``cache_dir`` the cache
   writes a checksummed JSON snapshot after every insert (atomic
   ``os.replace``, the ``benchmarks/.cache`` idiom) keyed by the
@@ -56,6 +52,10 @@ CacheKey = Tuple[str, Tuple[str, ...], Optional[int]]
 
 SNAPSHOT_NAME = "decisions.json"
 SNAPSHOT_FORMAT = 1
+
+#: Entries the LRU holds; an insert beyond it evicts the
+#: least-recently-used entry.
+CACHE_CAPACITY = 512
 
 
 # ----------------------------------------------------------------------
@@ -123,38 +123,18 @@ def _entries_checksum(token: str, entries: list) -> int:
 # The cache
 # ----------------------------------------------------------------------
 class ShardedDecisionCache:
-    """Per-shard LRU decision store with optional disk persistence.
+    """LRU decision store with optional disk persistence.
 
-    Parameters
-    ----------
-    num_shards:
-        Number of LRU shards; the shard index of a key is
-        ``crc32(key) % num_shards`` (stable across processes).
-    shard_capacity:
-        Maximum entries per shard; inserts beyond it evict the
-        shard's least-recently-used entry.
-    cache_dir:
-        Directory for the persisted snapshot, or ``None`` to keep the
-        cache purely in-memory (the pre-PR-10 behaviour, minus the
-        unbounded growth).
+    Holds at most :data:`CACHE_CAPACITY` entries; an insert beyond it
+    evicts the least-recently-used entry.  ``cache_dir`` names the
+    directory of the persisted snapshot, or ``None`` to keep the cache
+    purely in-memory.  The store is not sharded; the name is kept
+    because callers import and wrap the class by it.
     """
 
-    def __init__(
-        self,
-        num_shards: int = 4,
-        shard_capacity: int = 128,
-        cache_dir: Optional[str] = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if shard_capacity < 1:
-            raise ValueError("shard_capacity must be >= 1")
-        self.num_shards = int(num_shards)
-        self.shard_capacity = int(shard_capacity)
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
-        self._shards: List["OrderedDict[CacheKey, CacheEntry]"] = [
-            OrderedDict() for _ in range(self.num_shards)
-        ]
+        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         #: Cumulative LRU evictions (``ServiceStats.cache_evictions``).
         self.evictions = 0
         #: Cumulative entries written to disk (``cache_persisted``).
@@ -168,47 +148,31 @@ class ShardedDecisionCache:
         self._token: Optional[str] = None
         self._bound = False
 
-    # -- shard routing -------------------------------------------------
-    @staticmethod
-    def _encode_key(key: CacheKey) -> bytes:
-        scheduler, signature, budget = key
-        return "\x1f".join(
-            [scheduler, "+".join(signature), "" if budget is None else str(budget)]
-        ).encode("utf-8")
-
-    def _shard_for(self, key: CacheKey) -> "OrderedDict[CacheKey, CacheEntry]":
-        index = zlib.crc32(self._encode_key(key)) % self.num_shards
-        return self._shards[index]
-
-    def shard_index(self, key: CacheKey) -> int:
-        """Deterministic shard index of ``key`` (exposed for tests)."""
-        return zlib.crc32(self._encode_key(key)) % self.num_shards
-
     # -- mapping protocol ----------------------------------------------
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._shard_for(key)
+        return key in self._entries
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
         """The cached entry for ``key``, refreshed to most-recent."""
-        shard = self._shard_for(key)
-        entry = shard.get(key)
+        entry = self._entries.get(key)
         if entry is not None:
-            shard.move_to_end(key)
+            self._entries.move_to_end(key)
         return entry
 
     def put(self, key: CacheKey, names: Tuple[str, ...], decision: ScheduleDecision) -> None:
         """Insert (or refresh) an entry, evicting LRU past capacity."""
-        shard = self._shard_for(key)
-        if key in shard:
-            shard.move_to_end(key)
-        shard[key] = (tuple(names), decision)
-        while len(shard) > self.shard_capacity:
-            shard.popitem(last=False)
-            self.evictions += 1
+        self._store(key, (tuple(names), decision))
         self._persist()
+
+    def _store(self, key: CacheKey, entry: CacheEntry) -> None:
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > CACHE_CAPACITY:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def discard(self, key: CacheKey) -> bool:
         """Drop ``key`` from memory *and* the persisted snapshot.
@@ -217,18 +181,15 @@ class ShardedDecisionCache:
         declared poisoned it must not survive in either tier, or a
         restart would resurrect it.
         """
-        shard = self._shard_for(key)
-        if key not in shard:
+        if self._entries.pop(key, None) is None:
             return False
-        del shard[key]
         self._persist()
         return True
 
     def clear(self, persistent: bool = False) -> int:
         """Drop every entry; with ``persistent`` also the snapshot."""
         count = len(self)
-        for shard in self._shards:
-            shard.clear()
+        self._entries.clear()
         if persistent and self.cache_dir is not None:
             path = self._snapshot_path()
             if path is not None and os.path.exists(path):
@@ -238,11 +199,7 @@ class ShardedDecisionCache:
         return count
 
     def items(self) -> Iterator[Tuple[CacheKey, CacheEntry]]:
-        for shard in self._shards:
-            yield from shard.items()
-
-    def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self._shards]
+        return iter(self._entries.items())
 
     # -- persistence ---------------------------------------------------
     def _snapshot_path(self) -> Optional[str]:
@@ -261,8 +218,7 @@ class ShardedDecisionCache:
         if self._bound and token == self._token:
             return 0
         if self._bound and token != self._token:
-            for shard in self._shards:
-                shard.clear()
+            self._entries.clear()
         self._token = token
         self._bound = True
         path = self._snapshot_path()
@@ -284,25 +240,15 @@ class ShardedDecisionCache:
             self.stale_files += 1
             return 0
         for wire_key, names, decision_payload in payload["entries"]:
-            key = _key_from_wire(wire_key)
-            shard = self._shard_for(key)
-            shard[key] = (
-                tuple(str(n) for n in names),
-                _decision_from_dict(decision_payload),
+            self._store(
+                _key_from_wire(wire_key),
+                (
+                    tuple(str(n) for n in names),
+                    _decision_from_dict(decision_payload),
+                ),
             )
-            while len(shard) > self.shard_capacity:
-                shard.popitem(last=False)
-                self.evictions += 1
         self.loaded = len(self)
         return 0
-
-    @property
-    def bound(self) -> bool:
-        return self._bound
-
-    @property
-    def token(self) -> Optional[str]:
-        return self._token
 
     def _read_snapshot(self, path: str) -> Optional[dict]:
         try:
@@ -345,22 +291,6 @@ class ShardedDecisionCache:
             json.dump(payload, handle)
         os.replace(tmp_path, path)
         self.persisted += len(entries)
-
-    # -- reporting -----------------------------------------------------
-    def summary(self) -> Dict[str, object]:
-        return {
-            "entries": len(self),
-            "num_shards": self.num_shards,
-            "shard_capacity": self.shard_capacity,
-            "shard_sizes": self.shard_sizes(),
-            "evictions": self.evictions,
-            "persisted": self.persisted,
-            "loaded": self.loaded,
-            "corrupt_files": self.corrupt_files,
-            "stale_files": self.stale_files,
-            "token": self._token,
-            "cache_dir": self.cache_dir,
-        }
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ submitted :class:`~repro.core.base.ScheduleRequest` arrivals into
 
 * it reaches ``window_size`` requests (a **full** flush), or
 * the coalescing task has yielded to the event loop
-  ``coalesce_ticks`` times since the window opened (a **tick**
+  :data:`COALESCE_TICKS` times since the window opened (a **tick**
   flush of the partial window).
 
 Both triggers are *count-based* -- requests seen, event-loop turns
@@ -35,6 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.base import ScheduleRequest
 
 __all__ = ["AsyncFrontDoor", "FrontDoorStats"]
+
+#: Event-loop turns a partial window waits for more arrivals before
+#: flushing.  Count-based by design; see the module docstring.
+COALESCE_TICKS = 16
 
 
 @dataclass
@@ -79,25 +83,13 @@ class AsyncFrontDoor:
     window_size:
         Requests per full window.  ``1`` disables pooling (identity
         with direct ``schedule_many`` calls).
-    coalesce_ticks:
-        Event-loop turns a partial window waits for more arrivals
-        before flushing.  Count-based by design; see the module
-        docstring.
     """
 
-    def __init__(
-        self,
-        service,
-        window_size: int = 4,
-        coalesce_ticks: int = 16,
-    ) -> None:
+    def __init__(self, service, window_size: int = 4) -> None:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if coalesce_ticks < 1:
-            raise ValueError("coalesce_ticks must be >= 1")
         self.service = service
         self.window_size = int(window_size)
-        self.coalesce_ticks = int(coalesce_ticks)
         self.stats = FrontDoorStats()
         self._pending: List[Tuple[ScheduleRequest, "asyncio.Future"]] = []
         self._generation = 0
@@ -117,7 +109,7 @@ class AsyncFrontDoor:
         return await future
 
     async def _coalesce(self) -> None:
-        """Flush partial windows after ``coalesce_ticks`` loop turns.
+        """Flush partial windows after :data:`COALESCE_TICKS` loop turns.
 
         Persistent while work is pending: a window that fills (and
         flushes) mid-wait re-arms the tick counter for the next one,
@@ -126,7 +118,7 @@ class AsyncFrontDoor:
         while self._pending:
             generation = self._generation
             ticks = 0
-            while ticks < self.coalesce_ticks:
+            while ticks < COALESCE_TICKS:
                 await asyncio.sleep(0)
                 if self._generation != generation:
                     break  # window flushed full; re-arm for the next

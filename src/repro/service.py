@@ -49,14 +49,15 @@ names — workload order carries no semantics, paper Section IV-C), the
 scheduler name and the budget override; a hit against a permuted
 duplicate re-aligns the cached mapping's rows to the request's order.
 Requests carrying an objective override bypass the cache (their reward
-scale is caller-defined) but still pool their evaluations.  Since
-PR 10 the cache is a bounded :class:`~repro.frontdoor.ShardedDecisionCache`
-(per-shard LRU, ``cache_shards``/``cache_capacity`` constructor
-knobs, evictions counted in :class:`~repro.engine.ServiceStats`) and
-can persist across restarts via ``cache_dir`` — snapshots are keyed
-on the estimator version, so retrained weights invalidate them
-automatically.  Pass ``fast_path=FastPathPolicy()`` to enable the
-distilled fast-path student, and front the service with
+scale is caller-defined) but still pool their evaluations.  The
+cache is a bounded :class:`~repro.frontdoor.ShardedDecisionCache`
+(one LRU of 512 entries, evictions counted in
+:class:`~repro.engine.ServiceStats`) and can persist across restarts
+via ``cache_dir`` — snapshots are keyed on the estimator version, so
+retrained weights invalidate them automatically.  Pass
+``fast_path=FastPathPolicy()`` to enable the distilled fast path (a
+student ranks each search's candidates and one full forward
+certifies the served mapping), and front the service with
 :class:`~repro.frontdoor.AsyncFrontDoor` to pool asynchronous
 arrivals into count-based decision windows (see
 ``docs/performance.md``).

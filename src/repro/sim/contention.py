@@ -111,6 +111,10 @@ def processor_sharing_rates(
             )
         if (weights <= 0).any():
             raise ValueError("weights must be positive")
+    # Occupancy at or below _EPS ties a DNN to no resource: it neither
+    # limits the DNN's growth nor freezes it when that resource fills.
+    touches = work > _EPS
+    demand_work = np.where(touches, work, 0.0)
     rates = np.zeros(num_dnns)
     active = np.ones(num_dnns, dtype=bool)
     # Each round freezes at least one DNN, so M rounds suffice.
@@ -118,7 +122,7 @@ def processor_sharing_rates(
         if not active.any():
             break
         usage = rates @ work  # current occupancy of each resource
-        active_demand = (weights * active) @ work
+        active_demand = (weights * active) @ demand_work
         # How far theta can grow before a resource saturates (resources
         # no active DNN uses impose no limit).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -133,7 +137,7 @@ def processor_sharing_rates(
         usage = rates @ work
         saturated = usage >= 1.0 - 1e-9
         hit_cap = rates >= rate_caps - 1e-9 * rate_caps
-        touches_saturated = (work[:, saturated] > _EPS).any(axis=1)
+        touches_saturated = touches[:, saturated].any(axis=1)
         newly_frozen = active & (hit_cap | touches_saturated)
         if not newly_frozen.any():
             # Numerical guard: force-freeze the most constrained DNN so

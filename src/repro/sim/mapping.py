@@ -11,11 +11,14 @@ can key caches and deduplicate MCTS tree nodes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..models.graph import ModelGraph
 
-__all__ = ["Mapping", "Stage"]
+if TYPE_CHECKING:  # the workloads package imports this module
+    from ..workloads.mix import Workload
+
+__all__ = ["Mapping", "Stage", "reference_mapping"]
 
 
 class Stage(Tuple[int, int, int]):
@@ -184,3 +187,21 @@ class Mapping:
             "".join(str(device) for device in row) for row in self.assignments
         )
         return f"Mapping({summary})"
+
+
+def reference_mapping(workload: "Workload", num_devices: int) -> Mapping:
+    """The deterministic scoring mapping: DNNs striped whole across devices.
+
+    DNN ``i`` runs entirely on device ``i % num_devices``.  Single-device
+    rows are always legal (one stage per DNN <= any stage cap), and
+    striping is the cheapest proxy for "this board's devices share the
+    mix" — the fleet placer ranks boards with it and SLO admission
+    prices mixes with it, three orders of magnitude cheaper than
+    searching.
+    """
+    return Mapping(
+        [
+            (index % num_devices,) * model.num_layers
+            for index, model in enumerate(workload.models)
+        ]
+    )

@@ -55,7 +55,7 @@ from typing import (
 from .core.base import SLOTarget
 from .estimator.model import EstimatorFault
 from .evaluation.metrics import attainment_percentiles
-from .sim.mapping import Mapping
+from .sim.mapping import reference_mapping
 from .workloads.mix import Workload, canonical_signature
 
 __all__ = [
@@ -293,13 +293,7 @@ def make_estimator_scorer(scheduler) -> Callable[[Workload], float]:
         )
 
     def scorer(workload: Workload) -> float:
-        num_devices = estimator.embedding.num_devices
-        mapping = Mapping(
-            [
-                (index % num_devices,) * model.num_layers
-                for index, model in enumerate(workload.models)
-            ]
-        )
+        mapping = reference_mapping(workload, estimator.embedding.num_devices)
         predicted = estimator.predict_throughput_batch([(workload, mapping)])
         return float(predicted[0].mean())
 

@@ -722,7 +722,7 @@ class TestBoundedServingCaches:
             class Engine:
                 def __init__(self):
                     self._decision_cache = ShardedDecisionCache(
-                        num_shards=4, shard_capacity=128
+                        cache_dir=None
                     )
                     self._pending = {}
                     self._cache_capacity = 128

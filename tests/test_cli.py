@@ -200,15 +200,22 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="--resume requires --journal"):
             main(["serve-trace", "estimator-brownout", "--resume"])
 
-    def test_journal_accepts_enforcing_slo(self, tmp_path):
+    def test_journal_accepts_enforcing_slo(self, tmp_path, capsys):
         journal = tmp_path / "x.journal"
-        assert main(
-            ["serve-trace", "estimator-brownout", "--events", "4",
-             "--samples", "40", "--epochs", "3", "--budget", "20",
-             "--journal", str(journal), "--slo", "1.0"]
-        ) == 0
+        argv = ["serve-trace", "estimator-brownout", "--events", "4",
+                "--samples", "40", "--epochs", "3", "--budget", "20",
+                "--journal", str(journal), "--slo", "1.0"]
+        assert main(argv) == 0
         # A header line plus one committed line per event group.
         assert len(journal.read_text().splitlines()) > 1
+        assert "\nservice: " in capsys.readouterr().out
+        # Resuming the complete journal re-emits the whole report, but
+        # the counters under it cover only re-planned groups (none).
+        assert main(argv + ["--resume"]) == 0
+        assert (
+            "service (groups re-planned after resume): 0 re-schedules"
+            in capsys.readouterr().out
+        )
 
     def test_over_capacity_trace_is_usage_error(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -17,6 +17,7 @@ from repro.builder import SystemBuilder
 from repro.core import MCTSConfig, ScheduleRequest
 from repro.core.objectives import ThroughputObjective
 from repro.estimator import DistilledEstimator, FastPathPolicy
+from repro.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 from repro.service import SchedulingService
 from repro.workloads import Workload
 
@@ -212,6 +213,33 @@ class TestEngineFastPath:
         for left, right in zip(default, explicit):
             assert left.mapping == right.mapping
             assert left.expected_score == right.expected_score
+
+    def test_retry_counts_only_the_answering_attempt(self):
+        """A fast-path search that faults and is retried on the same
+        tier reports the forwards of the attempt that answered, not
+        the failed attempt's survivors as well."""
+        clean = _make_service(fast_path=TINY_POLICY, cache_decisions=False)
+        # Forward calls count from the scheduler's materialization:
+        # distillation is call 1, so call 3 faults mid-search; one
+        # fault stays below step_down_after, so the retry runs on the
+        # same (compiled) tier.
+        faulted = _make_service(
+            fast_path=TINY_POLICY,
+            cache_decisions=False,
+            resilience=ResiliencePolicy(
+                faults=FaultPlan((FaultSpec("estimator-nan", at_call=3),)),
+                step_down_after=2,
+            ),
+        )
+        expected = clean.submit(_mix())
+        retried = faulted.submit(_mix())
+        assert faulted.stats().faults_detected == 1
+        assert faulted.stats().degraded_decisions == 0
+        assert retried.expected_score == expected.expected_score
+        assert (
+            retried.decision.cost["estimator_queries_actual"]
+            == expected.decision.cost["estimator_queries_actual"]
+        )
 
     def test_student_reused_across_decisions(self):
         service = _make_service(fast_path=TINY_POLICY)

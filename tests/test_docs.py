@@ -3,8 +3,9 @@
 The docs CI job runs this module (plus the examples-importable canary)
 so README/docs drift is caught the same way API drift is: every
 ``python`` fence must be syntactically valid, fences must be balanced
-and language-tagged, and `file:line` anchors in the architecture doc
-must point inside real files.
+and language-tagged, and ``path::Symbol`` source anchors must name a
+class, function or assignment that exists in that file (line-number
+anchors drift with every edit, so none may remain).
 """
 
 import ast
@@ -62,7 +63,10 @@ def test_fences_are_tagged_and_parse(path):
             )
 
 
-ANCHOR_RE = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[\w./]+):(\d+)`")
+SYMBOL_ANCHOR_RE = re.compile(
+    r"`((?:src|tests|benchmarks|examples)/[\w./]+\.py)::([\w.]+)`"
+)
+LINE_ANCHOR_RE = re.compile(r"`(?:src|tests|benchmarks|examples|docs)/[\w./]+:\d+")
 PATH_RE = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[\w./]+\.(?:py|md))`")
 LINK_RE = re.compile(r"\[[^\]]+\]\((?!https?://)([^)#]+)\)")
 
@@ -71,14 +75,39 @@ LINK_RE = re.compile(r"\[[^\]]+\]\((?!https?://)([^)#]+)\)")
     "path", DOC_FILES, ids=[str(p.relative_to(ROOT)) for p in DOC_FILES]
 )
 def test_file_line_anchors_resolve(path):
+    """Source anchors name symbols (``path::Class.method``), not lines."""
     text = path.read_text()
-    for target, line in ANCHOR_RE.findall(text):
+    stale = LINE_ANCHOR_RE.findall(text)
+    assert not stale, f"{path.name}: line-number anchors left: {stale}"
+    for target, dotted in SYMBOL_ANCHOR_RE.findall(text):
         file = ROOT / target
         assert file.is_file(), f"{path.name}: anchor to missing file {target}"
-        total = len(file.read_text().splitlines())
-        assert int(line) <= total, (
-            f"{path.name}: anchor {target}:{line} is past end of file ({total})"
+        tree = ast.parse(file.read_text())
+        assert _resolves(tree, dotted), (
+            f"{path.name}: anchor {target}::{dotted} names no symbol there"
         )
+
+
+def _defined_names(node):
+    """Names a statement binds: a class/def, or plain assignment targets."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {target.id for target in node.targets if isinstance(target, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def _resolves(tree, dotted):
+    """Whether each dotted part is bound in the body of the one before."""
+    body = tree.body
+    for part in dotted.split("."):
+        node = next((n for n in body if part in _defined_names(n)), None)
+        if node is None:
+            return False
+        body = getattr(node, "body", [])
+    return True
 
 
 @pytest.mark.parametrize(

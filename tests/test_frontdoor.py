@@ -2,12 +2,11 @@
 
 The acceptance bar for PR 10's ingestion layer:
 
-* :class:`ShardedDecisionCache` is bounded (LRU per shard, counted
-  evictions), deterministic in its shard routing (crc32, never the
-  salted builtin ``hash``), and survives restarts through checksummed
-  snapshots keyed on the estimator's weight state — a retrained or
-  re-loaded estimator invalidates every persisted entry, and a corrupt
-  snapshot is quarantined, never served;
+* :class:`ShardedDecisionCache` is bounded (one LRU, counted
+  evictions) and survives restarts through checksummed snapshots keyed
+  on the estimator's weight state — a retrained or re-loaded estimator
+  invalidates every persisted entry, and a corrupt snapshot is
+  quarantined, never served;
 * :class:`AsyncFrontDoor` at ``window_size=1`` (and with the fast path
   off) is byte-identical to calling ``schedule_many`` directly — the
   identity contract — while larger windows pool concurrent arrivals
@@ -31,6 +30,7 @@ from repro.frontdoor import (
     estimator_cache_token,
     inspect_cache_dir,
 )
+from repro.frontdoor.cache import CACHE_CAPACITY
 from repro.nn.layers import Linear
 from repro.service import SchedulingService
 from repro.sim import Mapping
@@ -80,45 +80,29 @@ def _names(index):
 
 
 # ----------------------------------------------------------------------
-# ShardedDecisionCache: bounds and routing
+# ShardedDecisionCache: bounds
 # ----------------------------------------------------------------------
 class TestCacheBounds:
     def test_lru_eviction_past_capacity(self):
-        cache = ShardedDecisionCache(num_shards=1, shard_capacity=2)
+        cache = ShardedDecisionCache()
         cache.bind("token")
-        for index in range(3):
+        for index in range(CACHE_CAPACITY + 1):
             cache.put(_key(index), _names(index), _decision(float(index)))
-        assert len(cache) == 2
+        assert len(cache) == CACHE_CAPACITY
         assert cache.evictions == 1
         assert cache.get(_key(0)) is None  # the least-recently-used entry
-        assert cache.get(_key(2)) is not None
+        assert cache.get(_key(1)) is not None
+        assert cache.get(_key(CACHE_CAPACITY)) is not None
 
     def test_get_refreshes_recency(self):
-        cache = ShardedDecisionCache(num_shards=1, shard_capacity=2)
+        cache = ShardedDecisionCache()
         cache.bind("token")
-        cache.put(_key(0), _names(0), _decision())
-        cache.put(_key(1), _names(1), _decision())
+        for index in range(CACHE_CAPACITY):
+            cache.put(_key(index), _names(index), _decision())
         cache.get(_key(0))  # refresh: key 1 becomes the LRU entry
-        cache.put(_key(2), _names(2), _decision())
+        cache.put(_key(CACHE_CAPACITY), _names(CACHE_CAPACITY), _decision())
         assert cache.get(_key(0)) is not None
         assert cache.get(_key(1)) is None
-
-    def test_shard_routing_is_stable_across_instances(self):
-        first = ShardedDecisionCache(num_shards=8, shard_capacity=4)
-        second = ShardedDecisionCache(num_shards=8, shard_capacity=4)
-        keys = [_key(index) for index in range(32)]
-        assert [first.shard_index(k) for k in keys] == [
-            second.shard_index(k) for k in keys
-        ]
-        # crc32 routing spreads keys across shards rather than piling
-        # them into one (the property hash() salting would break).
-        assert len({first.shard_index(k) for k in keys}) > 1
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedDecisionCache(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedDecisionCache(shard_capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +229,7 @@ class TestAsyncFrontDoor:
     def test_partial_window_flushes_by_tick_count(self):
         requests = _requests()[:2]
         fronted_service = _make_service()
-        front = AsyncFrontDoor(fronted_service, window_size=8, coalesce_ticks=4)
+        front = AsyncFrontDoor(fronted_service, window_size=8)
         responses = front.serve(requests)
         assert len(responses) == 2
         assert front.stats.windows == 1
@@ -266,8 +250,6 @@ class TestAsyncFrontDoor:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             AsyncFrontDoor(object(), window_size=0)
-        with pytest.raises(ValueError):
-            AsyncFrontDoor(object(), coalesce_ticks=0)
 
 
 # ----------------------------------------------------------------------

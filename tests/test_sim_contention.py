@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import processor_sharing_rates
@@ -112,6 +112,14 @@ class TestProperties:
         assert (usage <= 1.0 + 1e-6).all()
 
     @given(_allocation_problem())
+    @example(
+        # A 1e-12 share of a saturated device must not freeze DNN 1
+        # below its cap while the only device it really uses has slack.
+        (
+            np.array([[0.0, 1.0], [0.5, 1e-12], [0.0, 1.0], [0.0, 1.0]]),
+            np.ones(4),
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_non_wasteful(self, problem):
         """No DNN can be below its cap while all its resources have
